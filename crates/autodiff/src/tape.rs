@@ -488,6 +488,13 @@ impl Tape {
     /// `out[(i, b·F + j)] = x[(b·N + i, j)]`. A pure f64 permutation (one
     /// memcpy per `(block, row)` pair), so forward and backward are exact.
     ///
+    /// At `blocks == 1` both layouts coincide and `x` itself is returned
+    /// without recording a node. That is required, not just cheaper: with
+    /// a node in between, `x`'s gradient would be summed in two groups
+    /// (through the wide node, then directly) and f64 addition is not
+    /// associative, so a one-window batch would no longer reproduce the
+    /// gradient bits of a plain single-window graph.
+    ///
     /// # Panics
     ///
     /// Panics if `blocks` is zero or does not divide `x`'s row count.
@@ -497,6 +504,9 @@ impl Tape {
             blocks > 0 && rows % blocks == 0,
             "to_wide: blocks {blocks} does not divide {rows} rows"
         );
+        if blocks == 1 {
+            return x;
+        }
         let mut v = self.pool.acquire(rows / blocks, blocks * cols);
         self.nodes[x.0].value.wide_from_stacked_into(blocks, &mut v);
         let ng = self.nodes[x.0].needs_grad;
@@ -504,7 +514,8 @@ impl Tape {
     }
 
     /// Inverse of [`Tape::to_wide`]: wide `N × (B·F)` → row-stacked
-    /// `(B·N) × F`.
+    /// `(B·N) × F`. Like `to_wide`, the identity at `blocks == 1`: `x` is
+    /// returned and no node is recorded.
     ///
     /// # Panics
     ///
@@ -515,6 +526,9 @@ impl Tape {
             blocks > 0 && cols % blocks == 0,
             "to_stacked: blocks {blocks} does not divide {cols} cols"
         );
+        if blocks == 1 {
+            return x;
+        }
         let mut v = self.pool.acquire(blocks * rows, cols / blocks);
         self.nodes[x.0].value.stacked_from_wide_into(blocks, &mut v);
         let ng = self.nodes[x.0].needs_grad;

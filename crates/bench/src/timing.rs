@@ -188,8 +188,10 @@ mod tests {
         let mut runner = quick_runner();
         let r = runner.bench("spin", || {
             let mut acc = 0u64;
+            // `black_box` per step keeps the optimiser from folding the
+            // loop into a constant, which would time at 0 ns.
             for i in 0..500 {
-                acc = acc.wrapping_add(i * i);
+                acc = black_box(acc.wrapping_add(i * i));
             }
             acc
         });

@@ -32,27 +32,55 @@ struct DirectionCells {
     est_head: Linear,
 }
 
-/// Outputs of one directional pass over a sample.
+/// Outputs of one directional pass over a view.
 struct DirectionRun {
-    /// `Z_t = [S_t ; H_t]` per history step, each `N × (p+q)`.
+    /// `Z_t = [S_t ; H_t]` per history step, each `(B·N) × (p+q)`.
     z: Vec<Var>,
     /// `estimates[t]` is the direction's estimate of `X_t` (a zero constant
     /// at the direction's first step, matching the paper's `X̂_0 = 0`).
     estimates: Vec<Var>,
 }
 
-/// Everything a forward pass produces for one sample.
-pub(crate) struct SampleRun {
-    /// Horizon predictions, one `N × D` tape node per step.
-    pub predictions: Vec<Var>,
-    /// Per-step imputation estimates `X̂_t` (average of directions).
-    pub estimates: Vec<Var>,
+/// The joint loss nodes of a run whose view carried targets.
+struct Losses {
     /// Prediction loss `L_c`.
-    pub prediction_loss: Var,
+    prediction: Var,
     /// Imputation loss `L_m`.
-    pub imputation_loss: Var,
+    imputation: Var,
     /// Total loss `L_c + λ·L_m`.
-    pub total_loss: Var,
+    total: Var,
+}
+
+/// Tape nodes of one forward pass over `B` windows: per-step stacked
+/// predictions and estimates (window `b` = rows `[b·N, (b+1)·N)`), plus the
+/// loss nodes when the view carried targets.
+pub(crate) struct Run {
+    /// Horizon predictions, one `(B·N) × D` tape node per step.
+    pub(crate) predictions: Vec<Var>,
+    /// Per-step imputation estimates `X̂_t` (average of directions).
+    pub(crate) estimates: Vec<Var>,
+    /// `L_c`, `L_m` and the total, built only for views with targets.
+    losses: Option<Losses>,
+    /// Number of windows `B` the run covered.
+    batch: usize,
+}
+
+impl Run {
+    /// Slices the stacked tape values into per-window outputs (window `b`
+    /// = rows `[b·N, (b+1)·N)` of every node, for `nodes = N`).
+    fn outputs(&self, sess: &Session, nodes: usize) -> Vec<SampleOutput> {
+        let rows = |vars: &[Var], b: usize| -> Vec<Matrix> {
+            vars.iter()
+                .map(|&v| sess.tape.value(v).slice_rows(b * nodes, (b + 1) * nodes))
+                .collect()
+        };
+        (0..self.batch)
+            .map(|b| SampleOutput {
+                predictions: rows(&self.predictions, b),
+                estimates: rows(&self.estimates, b),
+            })
+            .collect()
+    }
 }
 
 /// Concrete (detached) outputs of the model on one sample, in the
@@ -65,24 +93,67 @@ pub struct SampleOutput {
     pub estimates: Vec<Matrix>,
 }
 
-/// A batch of `B` inference windows stacked for one tape run.
+/// A borrowed view of `B` windows: what one tape run reads.
 ///
 /// Per history step `t`, `inputs[t]` and `masks[t]` hold the `B` windows'
-/// `N × F` matrices row-stacked into one `(B·N) × F` block — window `b`
-/// occupies rows `[b·N, (b+1)·N)` — and `slots[t][b]` is window `b`'s
-/// time-of-day slot at that step. Row-stacking is the canonical batched
-/// layout because every row-local model op (elementwise arithmetic, the
-/// LSTM and head right-multiplies, per-row softmax) applied to the stack
-/// is bit-identical per block to the unbatched run; the graph-convolution
-/// left-multiplies `T_k(L̃) · X` — the only column-local ops — run in the
-/// wide `N × (B·F)` permutation of the same data (see
-/// [`st_nn::HgcnBlock::forward_batched`]), so one packed-panel matmul
-/// covers all `B` windows.
+/// `N × F` matrices row-stacked into one `(B·N) × F` block, and
+/// `slots[t·B + b]` is window `b`'s time-of-day slot at that step. A
+/// [`WindowSample`] is the `B = 1` view of itself, borrowed without a copy
+/// (so training stays allocation-free); only such a view can carry forecast
+/// targets, and only a view with targets makes the run build its losses.
+#[derive(Clone, Copy)]
+struct WindowView<'a> {
+    inputs: &'a [Matrix],
+    masks: &'a [Matrix],
+    slots: &'a [usize],
+    batch: usize,
+    /// `(targets, target_masks)` per horizon step.
+    targets: Option<(&'a [Matrix], &'a [Matrix])>,
+}
+
+impl<'a> WindowView<'a> {
+    /// One window for inference: no targets, no loss terms.
+    fn window(sample: &'a WindowSample) -> Self {
+        Self {
+            inputs: &sample.inputs,
+            masks: &sample.masks,
+            slots: &sample.slots,
+            batch: 1,
+            targets: None,
+        }
+    }
+
+    /// One window with its forecast targets, for training and loss
+    /// evaluation.
+    fn with_targets(sample: &'a WindowSample) -> Self {
+        Self {
+            targets: Some((&sample.targets, &sample.target_masks)),
+            ..Self::window(sample)
+        }
+    }
+
+    /// The `B` windows' slots at history step `t`.
+    fn step_slots(&self, t: usize) -> &'a [usize] {
+        &self.slots[t * self.batch..(t + 1) * self.batch]
+    }
+}
+
+/// A batch of `B` inference windows stacked for one tape run.
+///
+/// Window `b` occupies rows `[b·N, (b+1)·N)` of every step block.
+/// Row-stacking is the canonical batched layout because every row-local
+/// model op (elementwise arithmetic, the LSTM and head right-multiplies,
+/// per-row softmax) applied to the stack is bit-identical per block to a
+/// one-window run; the graph-convolution left-multiplies `T_k(L̃) · X` —
+/// the only column-local ops — run in the wide `N × (B·F)` permutation of
+/// the same data (see [`st_nn::HgcnBlock::forward`]), so one packed-panel
+/// matmul covers all `B` windows.
 #[derive(Debug, Clone)]
 pub struct BatchedWindow {
     inputs: Vec<Matrix>,
     masks: Vec<Matrix>,
-    slots: Vec<Vec<usize>>,
+    /// Step-major: `slots[t·B + b]` is window `b`'s slot at step `t`.
+    slots: Vec<usize>,
     batch: usize,
 }
 
@@ -104,13 +175,13 @@ impl BatchedWindow {
         }
         let mut inputs = Vec::with_capacity(t_len);
         let mut masks = Vec::with_capacity(t_len);
-        let mut slots = Vec::with_capacity(t_len);
+        let mut slots = Vec::with_capacity(t_len * samples.len());
         for t in 0..t_len {
             let step_inputs: Vec<&Matrix> = samples.iter().map(|s| &s.inputs[t]).collect();
             let step_masks: Vec<&Matrix> = samples.iter().map(|s| &s.masks[t]).collect();
             inputs.push(Matrix::stack_rows(&step_inputs));
             masks.push(Matrix::stack_rows(&step_masks));
-            slots.push(samples.iter().map(|s| s.slots[t]).collect());
+            slots.extend(samples.iter().map(|s| s.slots[t]));
         }
         Self {
             inputs,
@@ -120,19 +191,19 @@ impl BatchedWindow {
         }
     }
 
-    /// Assembles a batch from already-stacked step blocks — the
-    /// allocation-lean spine of the serving path, which normalises
-    /// snapshot entries straight into the `(B·N) × F` stacks instead of
-    /// materialising `B` per-window samples first.
+    /// Assembles a batch from already-stacked step blocks and step-major
+    /// slots — the allocation-lean spine of the serving path, which
+    /// normalises snapshot entries straight into the `(B·N) × F` stacks
+    /// instead of materialising `B` per-window samples first.
     pub(crate) fn from_parts(
         inputs: Vec<Matrix>,
         masks: Vec<Matrix>,
-        slots: Vec<Vec<usize>>,
+        slots: Vec<usize>,
         batch: usize,
     ) -> Self {
         debug_assert!(batch > 0, "batch needs at least one window");
         debug_assert_eq!(inputs.len(), masks.len());
-        debug_assert_eq!(inputs.len(), slots.len());
+        debug_assert_eq!(inputs.len() * batch, slots.len());
         Self {
             inputs,
             masks,
@@ -150,15 +221,17 @@ impl BatchedWindow {
     pub fn history_len(&self) -> usize {
         self.inputs.len()
     }
-}
 
-/// Tape nodes of one batched forward pass: per-step stacked predictions
-/// and estimates, sliced into per-window outputs after the run.
-pub(crate) struct BatchedRun {
-    /// Horizon predictions, one stacked `(B·N) × D` tape node per step.
-    pub(crate) predictions: Vec<Var>,
-    /// Per-step imputation estimates (average of directions), stacked.
-    pub(crate) estimates: Vec<Var>,
+    /// The batch as a run view (no targets).
+    fn view(&self) -> WindowView<'_> {
+        WindowView {
+            inputs: &self.inputs,
+            masks: &self.masks,
+            slots: &self.slots,
+            batch: self.batch,
+            targets: None,
+        }
+    }
 }
 
 /// The Recurrent-Imputation Heterogeneous GCN traffic forecaster.
@@ -391,112 +464,18 @@ impl RihgcnModel {
     }
 
     /// Runs the model on one sample, returning detached predictions and
-    /// imputation estimates (normalised space).
+    /// imputation estimates (normalised space). The window runs as a batch
+    /// of one, without building the loss terms.
     ///
     /// # Panics
     ///
     /// Panics if the sample's shape disagrees with the model.
     pub fn forward(&self, sample: &WindowSample) -> SampleOutput {
         let mut sess = Session::new(&self.store);
-        let run = self.run_sample(&mut sess, sample);
-        SampleOutput {
-            predictions: run
-                .predictions
-                .iter()
-                .map(|&v| sess.tape.value(v).clone())
-                .collect(),
-            estimates: run
-                .estimates
-                .iter()
-                .map(|&v| sess.tape.value(v).clone())
-                .collect(),
-        }
-    }
-
-    /// [`RihgcnModel::forward`] through the recycled session: the tape and
-    /// its buffer pool persist across calls (the same take/reset/put cycle
-    /// training uses), so steady-state inference runs allocation-free.
-    ///
-    /// Bit-identical to `forward` — pooled buffers are fully overwritten
-    /// before use, which `tests/tape_equivalence.rs` pins down — and shares
-    /// the session with training, so interleaving the two is fine. This is
-    /// what the serve engine calls per forecast.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sample's shape disagrees with the model.
-    pub fn forward_recycled(&mut self, sample: &WindowSample) -> SampleOutput {
-        let mut sess = match self.session.take() {
-            Some(mut s) => {
-                s.reset(&self.store);
-                s
-            }
-            None => Session::new(&self.store),
-        };
-        let run = self.run_sample(&mut sess, sample);
-        let out = SampleOutput {
-            predictions: run
-                .predictions
-                .iter()
-                .map(|&v| sess.tape.value(v).clone())
-                .collect(),
-            estimates: run
-                .estimates
-                .iter()
-                .map(|&v| sess.tape.value(v).clone())
-                .collect(),
-        };
-        self.session = Some(sess);
-        out
-    }
-
-    /// Runs the model on one sample through the recycled session and hands
-    /// the live tape to `f` instead of cloning every output matrix.
-    ///
-    /// This is the zero-copy spine of [`RihgcnModel::forward_recycled`]:
-    /// callers that only need to *read* predictions or estimates (e.g. to
-    /// denormalise them straight into a response buffer) borrow the tape
-    /// values in place, skipping the per-call `Vec<Matrix>` clone.
-    pub(crate) fn with_recycled_run<R>(
-        &mut self,
-        sample: &WindowSample,
-        f: impl FnOnce(&Session, &SampleRun) -> R,
-    ) -> R {
-        let mut sess = match self.session.take() {
-            Some(mut s) => {
-                s.reset(&self.store);
-                s
-            }
-            None => Session::new(&self.store),
-        };
-        let run = self.run_sample(&mut sess, sample);
-        let out = f(&sess, &run);
-        self.session = Some(sess);
-        out
-    }
-
-    /// Runs one batched pass through the recycled session and hands the
-    /// live tape to `f` — the batched analogue of
-    /// [`RihgcnModel::with_recycled_run`]. Serving reads predictions off
-    /// the stacked tape values in place (denormalising block `b` straight
-    /// into the response), never materialising per-window
-    /// [`SampleOutput`]s or the unused imputation estimates.
-    pub(crate) fn with_batched_recycled_run<R>(
-        &mut self,
-        batch: &BatchedWindow,
-        f: impl FnOnce(&Session, &BatchedRun) -> R,
-    ) -> R {
-        let mut sess = match self.session.take() {
-            Some(mut s) => {
-                s.reset(&self.store);
-                s
-            }
-            None => Session::new(&self.store),
-        };
-        let run = self.run_batched(&mut sess, batch);
-        let out = f(&sess, &run);
-        self.session = Some(sess);
-        out
+        let run = self.run(&mut sess, WindowView::window(sample));
+        run.outputs(&sess, self.num_nodes)
+            .pop()
+            .expect("a one-window run yields one output")
     }
 
     /// Runs the model once over a batch of `B` windows, returning each
@@ -515,278 +494,89 @@ impl RihgcnModel {
     /// Panics if the batch's shape disagrees with the model.
     pub fn forward_batched(&self, batch: &BatchedWindow) -> Vec<SampleOutput> {
         let mut sess = Session::new(&self.store);
-        let run = self.run_batched(&mut sess, batch);
-        self.split_batched(&sess, &run, batch.batch)
+        let run = self.run(&mut sess, batch.view());
+        run.outputs(&sess, self.num_nodes)
     }
 
-    /// [`RihgcnModel::forward_batched`] through the recycled session, the
-    /// same take/reset/put cycle as [`RihgcnModel::forward_recycled`]:
-    /// steady-state batched inference reuses the tape's buffer pool. This
-    /// is what an engine shard calls per drained batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch's shape disagrees with the model.
-    pub fn forward_batched_recycled(&mut self, batch: &BatchedWindow) -> Vec<SampleOutput> {
-        let mut sess = match self.session.take() {
+    /// Runs one batch through the recycled session and hands the live tape
+    /// to `f`. The session (tape plus buffer pool) is the one training
+    /// steps recycle, so steady-state inference reuses pooled buffers too;
+    /// serving reads predictions off the stacked tape values in place
+    /// (denormalising block `b` straight into the response), never
+    /// materialising per-window [`SampleOutput`]s.
+    pub(crate) fn with_batched_recycled_run<R>(
+        &mut self,
+        batch: &BatchedWindow,
+        f: impl FnOnce(&Session, &Run) -> R,
+    ) -> R {
+        let mut sess = self.take_session();
+        let run = self.run(&mut sess, batch.view());
+        let out = f(&sess, &run);
+        self.session = Some(sess);
+        out
+    }
+
+    /// Take/reset/put: the session (tape + buffer pool) persists across
+    /// calls, so at steady state a run re-records the graph into recycled
+    /// buffers instead of reallocating them. Put it back in
+    /// `self.session` when done.
+    fn take_session(&mut self) -> Session {
+        match self.session.take() {
             Some(mut s) => {
                 s.reset(&self.store);
                 s
             }
             None => Session::new(&self.store),
-        };
-        let run = self.run_batched(&mut sess, batch);
-        let out = self.split_batched(&sess, &run, batch.batch);
-        self.session = Some(sess);
-        out
-    }
-
-    /// Slices the stacked tape values of a batched run into per-window
-    /// outputs (window `b` = rows `[b·N, (b+1)·N)` of every node).
-    fn split_batched(&self, sess: &Session, run: &BatchedRun, batch: usize) -> Vec<SampleOutput> {
-        let n = self.num_nodes;
-        (0..batch)
-            .map(|b| SampleOutput {
-                predictions: run
-                    .predictions
-                    .iter()
-                    .map(|&v| sess.tape.value(v).slice_rows(b * n, (b + 1) * n))
-                    .collect(),
-                estimates: run
-                    .estimates
-                    .iter()
-                    .map(|&v| sess.tape.value(v).slice_rows(b * n, (b + 1) * n))
-                    .collect(),
-            })
-            .collect()
+        }
     }
 
     /// The `(L_c, L_m)` pair — prediction and imputation loss — of one
     /// sample, before the `λ` weighting (used by the Figure-5 λ study).
     pub fn loss_components(&self, sample: &WindowSample) -> (f64, f64) {
         let mut sess = Session::new(&self.store);
-        let run = self.run_sample(&mut sess, sample);
+        let run = self.run(&mut sess, WindowView::with_targets(sample));
+        let losses = run.losses.expect("a view with targets builds losses");
         (
-            sess.tape.value(run.prediction_loss)[(0, 0)],
-            sess.tape.value(run.imputation_loss)[(0, 0)],
+            sess.tape.value(losses.prediction)[(0, 0)],
+            sess.tape.value(losses.imputation)[(0, 0)],
         )
     }
 
-    /// Builds the full tape for one sample.
-    pub(crate) fn run_sample(&self, sess: &mut Session, sample: &WindowSample) -> SampleRun {
-        let history = self.cfg.history;
-        let _span = st_obs::span!("core.forward", history);
-        assert_eq!(
-            sample.history_len(),
-            self.cfg.history,
-            "history length mismatch"
-        );
-        assert_eq!(
-            sample.horizon_len(),
-            self.cfg.horizon,
-            "horizon length mismatch"
-        );
-        assert_eq!(
-            sample.inputs[0].shape(),
-            (self.num_nodes, self.num_features)
-        );
-
-        let t_len = self.cfg.history;
-        let fwd_run = self.run_direction(sess, sample, &self.fwd, false);
-        let bwd_run = self
-            .bwd
-            .as_ref()
-            .map(|cells| self.run_direction(sess, sample, cells, true));
-
-        // --- imputation loss (Eq. 6) -----------------------------------
-        let mut imp_terms: Vec<Var> = Vec::with_capacity(2 * t_len);
-        let mut estimates: Vec<Var> = Vec::with_capacity(t_len);
-        for t in 0..t_len {
-            let est = match &bwd_run {
-                Some(b) => {
-                    let s = sess.tape.add(fwd_run.estimates[t], b.estimates[t]);
-                    sess.tape.scale(s, 0.5)
-                }
-                None => fwd_run.estimates[t],
-            };
-            estimates.push(est);
-            // Observation error on observed entries.
-            let target = sess.constant_ref(&sample.inputs[t]);
-            let mask_c = sess.constant_ref(&sample.masks[t]);
-            let obs_err = sess.tape.masked_mae_var(est, target, mask_c);
-            imp_terms.push(obs_err);
-            // Forward/backward consistency on missing entries. The inverse
-            // mask `1 − M` is built on the tape (−M then +1) so its buffer
-            // comes from the pool; for binary masks the result is
-            // bit-identical to materialising `map(|m| 1.0 − m)`.
-            if self.cfg.consistency_weight > 0.0 {
-                if let Some(b) = &bwd_run {
-                    let neg_mask = sess.tape.scale(mask_c, -1.0);
-                    let inv_mask = sess.tape.add_scalar(neg_mask, 1.0);
-                    let cons =
-                        sess.tape
-                            .masked_mae_var(fwd_run.estimates[t], b.estimates[t], inv_mask);
-                    let cons = sess.tape.scale(cons, self.cfg.consistency_weight);
-                    imp_terms.push(cons);
-                }
-            }
-        }
-        let imp_sum = sum_vars(sess, &imp_terms);
-        let imputation_loss = sess.tape.scale(imp_sum, 1.0 / t_len as f64);
-
-        // --- prediction (Eq. 7) -----------------------------------------
-        let z_bi: Vec<Var> = (0..t_len)
-            .map(|t| match &bwd_run {
-                Some(b) => sess.tape.concat_cols(fwd_run.z[t], b.z[t]),
-                None => fwd_run.z[t],
-            })
-            .collect();
-        let head_in = match self.cfg.head {
-            PredictionHead::Concat => {
-                let mut wide: Option<Var> = None;
-                for &z_t in &z_bi {
-                    wide = Some(match wide {
-                        Some(w) => sess.tape.concat_cols(w, z_t),
-                        None => z_t,
-                    });
-                }
-                wide.expect("history is non-empty")
-            }
-            PredictionHead::Attention => {
-                // Attention over time: α = softmax_t(mean_n(Z_t · v)),
-                // context = Σ α_t Z_t (the paper's weighted-sum option).
-                let va = sess.var(
-                    &self.store,
-                    self.attention.expect("attention head allocates its vector"),
-                );
-                let mut scores: Option<Var> = None;
-                for &z_t in &z_bi {
-                    let proj = sess.tape.matmul(z_t, va);
-                    let score = sess.tape.mean(proj);
-                    scores = Some(match scores {
-                        Some(acc) => sess.tape.concat_cols(acc, score),
-                        None => score,
-                    });
-                }
-                let alphas = sess
-                    .tape
-                    .softmax_rows(scores.expect("history is non-empty"));
-                let mut context: Option<Var> = None;
-                for (t, &z_t) in z_bi.iter().enumerate() {
-                    let a_t = sess.tape.slice_cols(alphas, t, t + 1);
-                    let weighted = sess.tape.scale_var(z_t, a_t);
-                    context = Some(match context {
-                        Some(acc) => sess.tape.add(acc, weighted),
-                        None => weighted,
-                    });
-                }
-                context.expect("history is non-empty")
-            }
-        };
-        let pred_flat = self.pred_head.forward(sess, &self.store, head_in);
-
-        let d = self.num_features;
-        let mut predictions = Vec::with_capacity(self.cfg.horizon);
-        let mut pred_terms = Vec::with_capacity(self.cfg.horizon);
-        for h in 0..self.cfg.horizon {
-            let step = sess.tape.slice_cols(pred_flat, h * d, (h + 1) * d);
-            let target = sess.constant_ref(&sample.targets[h]);
-            let err = sess.tape.masked_mae(step, target, &sample.target_masks[h]);
-            pred_terms.push(err);
-            predictions.push(step);
-        }
-        let pred_sum = sum_vars(sess, &pred_terms);
-        let prediction_loss = sess.tape.scale(pred_sum, 1.0 / self.cfg.horizon as f64);
-
-        let weighted_imp = sess.tape.scale(imputation_loss, self.cfg.lambda);
-        let total_loss = sess.tape.add(prediction_loss, weighted_imp);
-
-        SampleRun {
-            predictions,
-            estimates,
-            prediction_loss,
-            imputation_loss,
-            total_loss,
-        }
-    }
-
-    /// Runs one direction of the recurrent imputation.
-    fn run_direction(
-        &self,
-        sess: &mut Session,
-        sample: &WindowSample,
-        cells: &DirectionCells,
-        reverse: bool,
-    ) -> DirectionRun {
-        let t_len = self.cfg.history;
-        let order: Vec<usize> = if reverse {
-            (0..t_len).rev().collect()
-        } else {
-            (0..t_len).collect()
-        };
-
-        let mut z: Vec<Option<Var>> = vec![None; t_len];
-        let mut estimates: Vec<Option<Var>> = vec![None; t_len];
-        let mut est_prev = sess.constant_zeros(self.num_nodes, self.num_features);
-        let mut state = cells.lstm.zero_state(sess, self.num_nodes);
-
-        for &t in &order {
-            estimates[t] = Some(est_prev);
-            // Complement input: X̄_t = M⊙X + (1−M)⊙X̂ (Eq. 3). `inputs[t]`
-            // is already M⊙X. The inverse mask is built on the tape (−M then
-            // +1, bit-identical to `1 − M` for binary masks) so every buffer
-            // comes from the pool.
-            let obs = sess.constant_ref(&sample.inputs[t]);
-            let mask_c = sess.constant_ref(&sample.masks[t]);
-            let neg_mask = sess.tape.scale(mask_c, -1.0);
-            let inv_mask = sess.tape.add_scalar(neg_mask, 1.0);
-            let est_part = sess.tape.mul(inv_mask, est_prev);
-            let x_bar = sess.tape.add(obs, est_part);
-
-            let s = self.hgcn.forward(sess, &self.store, sample.slots[t], x_bar);
-            let lstm_in = sess.tape.concat_cols(s, mask_c);
-            state = cells.lstm.step(sess, &self.store, lstm_in, &state);
-            let z_t = sess.tape.concat_cols(s, state.h);
-            z[t] = Some(z_t);
-            est_prev = cells.est_head.forward(sess, &self.store, z_t);
-        }
-
-        DirectionRun {
-            z: z.into_iter()
-                .map(|v| v.expect("all steps visited"))
-                .collect(),
-            estimates: estimates
-                .into_iter()
-                .map(|v| v.expect("all steps visited"))
-                .collect(),
-        }
-    }
-
-    /// Builds the inference tape for a batch of windows.
+    /// Builds the tape for one view of `B` windows — the model's only
+    /// forward.
     ///
-    /// Mirrors [`RihgcnModel::run_sample`] op for op on the row-stacked
-    /// blocks, minus the loss terms (serving batches carry zero targets, so
-    /// the losses are never read). Every op is either row-local — bit-equal
-    /// per block by construction — or one of the batched ops whose per-block
-    /// bit-identity the tape pins (`to_wide`/`to_stacked` permutations,
-    /// `scale_blocks`, `mean_blocks`).
-    fn run_batched(&self, sess: &mut Session, batch: &BatchedWindow) -> BatchedRun {
-        let t_len = self.cfg.history;
-        let _span = st_obs::span!("core.forward_batched", t_len);
-        assert_eq!(batch.history_len(), t_len, "history length mismatch");
+    /// Every op is either row-local on the `(B·N)`-row stacks — bit-equal
+    /// per block by construction — or one of the batched tape ops whose
+    /// per-block bit-identity the tape pins (`to_wide`/`to_stacked`
+    /// permutations, `scale_blocks`, `mean_blocks`). When the view carries
+    /// targets the joint loss is recorded too: the imputation terms inside
+    /// the per-step estimate loop and the prediction terms per horizon
+    /// step, so the backward sweep accumulates every gradient in a fixed
+    /// order.
+    fn run(&self, sess: &mut Session, view: WindowView<'_>) -> Run {
+        let history = self.cfg.history;
+        let batch = view.batch;
+        let _span = st_obs::span!("core.forward", history, batch);
+        assert_eq!(view.inputs.len(), history, "history length mismatch");
         assert_eq!(
-            batch.inputs[0].shape(),
-            (batch.batch * self.num_nodes, self.num_features),
-            "batch shape mismatch"
+            view.inputs[0].shape(),
+            (batch * self.num_nodes, self.num_features),
+            "window shape mismatch"
         );
+        if let Some((targets, _)) = view.targets {
+            assert_eq!(targets.len(), self.cfg.horizon, "horizon length mismatch");
+        }
 
-        let b = batch.batch;
-        let fwd_run = self.run_direction_batched(sess, batch, &self.fwd, false);
+        let t_len = history;
+        let fwd_run = self.impute_direction(sess, view, &self.fwd, false);
         let bwd_run = self
             .bwd
             .as_ref()
-            .map(|cells| self.run_direction_batched(sess, batch, cells, true));
+            .map(|cells| self.impute_direction(sess, view, cells, true));
 
+        // --- imputation estimates and loss (Eq. 6) ----------------------
+        let with_losses = view.targets.is_some();
+        let mut imp_terms: Vec<Var> = Vec::with_capacity(2 * t_len);
         let mut estimates: Vec<Var> = Vec::with_capacity(t_len);
         for t in 0..t_len {
             let est = match &bwd_run {
@@ -797,8 +587,36 @@ impl RihgcnModel {
                 None => fwd_run.estimates[t],
             };
             estimates.push(est);
+            if !with_losses {
+                continue;
+            }
+            // Observation error on observed entries.
+            let target = sess.constant_ref(&view.inputs[t]);
+            let mask_c = sess.constant_ref(&view.masks[t]);
+            let obs_err = sess.tape.masked_mae_var(est, target, mask_c);
+            imp_terms.push(obs_err);
+            // Forward/backward consistency on missing entries. The inverse
+            // mask `1 − M` is built on the tape (−M then +1) so its buffer
+            // comes from the pool; for binary masks the result is
+            // bit-identical to materialising `map(|m| 1.0 − m)`.
+            if self.cfg.consistency_weight > 0.0 {
+                if let Some(back) = &bwd_run {
+                    let neg_mask = sess.tape.scale(mask_c, -1.0);
+                    let inv_mask = sess.tape.add_scalar(neg_mask, 1.0);
+                    let cons =
+                        sess.tape
+                            .masked_mae_var(fwd_run.estimates[t], back.estimates[t], inv_mask);
+                    let cons = sess.tape.scale(cons, self.cfg.consistency_weight);
+                    imp_terms.push(cons);
+                }
+            }
         }
+        let imputation_loss = with_losses.then(|| {
+            let imp_sum = sum_vars(sess, &imp_terms);
+            sess.tape.scale(imp_sum, 1.0 / t_len as f64)
+        });
 
+        // --- prediction (Eq. 7) -----------------------------------------
         let z_bi: Vec<Var> = (0..t_len)
             .map(|t| match &bwd_run {
                 Some(back) => sess.tape.concat_cols(fwd_run.z[t], back.z[t]),
@@ -817,9 +635,10 @@ impl RihgcnModel {
                 wide.expect("history is non-empty")
             }
             PredictionHead::Attention => {
-                // Per-window attention: scores land in a `B × T` matrix
-                // (row b = window b's score vector), the per-row softmax
-                // matches the unbatched `1 × T` softmax row for row, and
+                // Attention over time: α = softmax_t(mean_n(Z_t · v)),
+                // context = Σ α_t Z_t (the paper's weighted-sum option).
+                // Per window: scores land in a `B × T` matrix (row b =
+                // window b's score vector), the softmax is per row, and
                 // `scale_blocks` applies each window's α_t to its block.
                 let va = sess.var(
                     &self.store,
@@ -828,7 +647,7 @@ impl RihgcnModel {
                 let mut scores: Option<Var> = None;
                 for &z_t in &z_bi {
                     let proj = sess.tape.matmul(z_t, va);
-                    let score = sess.tape.mean_blocks(proj, b);
+                    let score = sess.tape.mean_blocks(proj, batch);
                     scores = Some(match scores {
                         Some(acc) => sess.tape.concat_cols(acc, score),
                         None => score,
@@ -852,28 +671,49 @@ impl RihgcnModel {
         let pred_flat = self.pred_head.forward(sess, &self.store, head_in);
 
         let d = self.num_features;
-        let predictions = (0..self.cfg.horizon)
-            .map(|h| sess.tape.slice_cols(pred_flat, h * d, (h + 1) * d))
-            .collect();
-        BatchedRun {
+        let mut predictions = Vec::with_capacity(self.cfg.horizon);
+        let mut pred_terms = Vec::with_capacity(self.cfg.horizon);
+        for h in 0..self.cfg.horizon {
+            let step = sess.tape.slice_cols(pred_flat, h * d, (h + 1) * d);
+            if let Some((targets, target_masks)) = view.targets {
+                let target = sess.constant_ref(&targets[h]);
+                let err = sess.tape.masked_mae(step, target, &target_masks[h]);
+                pred_terms.push(err);
+            }
+            predictions.push(step);
+        }
+        let losses = imputation_loss.map(|imputation| {
+            let pred_sum = sum_vars(sess, &pred_terms);
+            let prediction = sess.tape.scale(pred_sum, 1.0 / self.cfg.horizon as f64);
+            let weighted_imp = sess.tape.scale(imputation, self.cfg.lambda);
+            let total = sess.tape.add(prediction, weighted_imp);
+            Losses {
+                prediction,
+                imputation,
+                total,
+            }
+        });
+
+        Run {
             predictions,
             estimates,
+            losses,
+            batch,
         }
     }
 
-    /// One direction of the recurrent imputation over the stacked batch:
-    /// [`RihgcnModel::run_direction`] with `B·N` rows per step. The LSTM,
-    /// estimation head and complement arithmetic are all row-local; the
-    /// HGCN runs its batched variant.
-    fn run_direction_batched(
+    /// Runs one direction of the recurrent imputation over the view's
+    /// `B·N` stacked rows. The LSTM, estimation head and complement
+    /// arithmetic are all row-local; the HGCN mixes nodes per window.
+    fn impute_direction(
         &self,
         sess: &mut Session,
-        batch: &BatchedWindow,
+        view: WindowView<'_>,
         cells: &DirectionCells,
         reverse: bool,
     ) -> DirectionRun {
         let t_len = self.cfg.history;
-        let rows = batch.batch * self.num_nodes;
+        let rows = view.batch * self.num_nodes;
         let order: Vec<usize> = if reverse {
             (0..t_len).rev().collect()
         } else {
@@ -887,8 +727,12 @@ impl RihgcnModel {
 
         for &t in &order {
             estimates[t] = Some(est_prev);
-            let obs = sess.constant_ref(&batch.inputs[t]);
-            let mask_c = sess.constant_ref(&batch.masks[t]);
+            // Complement input: X̄_t = M⊙X + (1−M)⊙X̂ (Eq. 3). `inputs[t]`
+            // is already M⊙X. The inverse mask is built on the tape (−M then
+            // +1, bit-identical to `1 − M` for binary masks) so every buffer
+            // comes from the pool.
+            let obs = sess.constant_ref(&view.inputs[t]);
+            let mask_c = sess.constant_ref(&view.masks[t]);
             let neg_mask = sess.tape.scale(mask_c, -1.0);
             let inv_mask = sess.tape.add_scalar(neg_mask, 1.0);
             let est_part = sess.tape.mul(inv_mask, est_prev);
@@ -896,7 +740,7 @@ impl RihgcnModel {
 
             let s = self
                 .hgcn
-                .forward_batched(sess, &self.store, &batch.slots[t], x_bar);
+                .forward(sess, &self.store, view.step_slots(t), x_bar);
             let lstm_in = sess.tape.concat_cols(s, mask_c);
             state = cells.lstm.step(sess, &self.store, lstm_in, &state);
             let z_t = sess.tape.concat_cols(s, state.h);
@@ -958,8 +802,9 @@ impl RihgcnModel {
     /// Loss of one sample without updating parameters (for validation).
     pub fn loss(&self, sample: &WindowSample) -> f64 {
         let mut sess = Session::new(&self.store);
-        let run = self.run_sample(&mut sess, sample);
-        sess.tape.value(run.total_loss)[(0, 0)]
+        let run = self.run(&mut sess, WindowView::with_targets(sample));
+        let losses = run.losses.expect("a view with targets builds losses");
+        sess.tape.value(losses.total)[(0, 0)]
     }
 }
 
@@ -974,19 +819,11 @@ impl crate::Forecaster for RihgcnModel {
 
     fn accumulate_gradients(&mut self, sample: &WindowSample) -> f64 {
         let _span = st_obs::span!("core.train_step");
-        // Take/reset/put: the session (tape + buffer pool) persists across
-        // steps, so at steady state the pass re-records the graph into
-        // recycled buffers instead of reallocating them.
-        let mut sess = match self.session.take() {
-            Some(mut s) => {
-                s.reset(&self.store);
-                s
-            }
-            None => Session::new(&self.store),
-        };
-        let run = self.run_sample(&mut sess, sample);
-        let loss_value = sess.tape.value(run.total_loss)[(0, 0)];
-        sess.backward(run.total_loss);
+        let mut sess = self.take_session();
+        let run = self.run(&mut sess, WindowView::with_targets(sample));
+        let total = run.losses.expect("a view with targets builds losses").total;
+        let loss_value = sess.tape.value(total)[(0, 0)];
+        sess.backward(total);
         sess.write_grads(&mut self.store);
         self.session = Some(sess);
         loss_value
@@ -1065,26 +902,34 @@ mod tests {
     }
 
     #[test]
-    fn forward_recycled_matches_forward_bitwise() {
+    fn recycled_run_matches_fresh_forward_bitwise() {
         let (ds, cfg) = tiny_setup();
-        let mut model = RihgcnModel::from_dataset(&ds, cfg);
+        // Stride 5 spreads the windows across time-of-day slots.
         let sampler = WindowSampler::new(4, 2, 1);
-        let samples = [
-            sampler.window_at(&ds, 0),
-            sampler.window_at(&ds, 5),
-            sampler.window_at(&ds, 10),
-        ];
-        // Interleave with a training step so the recycled session has seen
-        // a backward sweep too.
-        let _ = model.accumulate_gradients(&samples[0]);
-        for sample in &samples {
-            let fresh = model.forward(sample);
-            let recycled = model.forward_recycled(sample);
-            assert_eq!(fresh.predictions, recycled.predictions);
-            assert_eq!(fresh.estimates, recycled.estimates);
+        let samples: Vec<WindowSample> = (0..16).map(|i| sampler.window_at(&ds, 5 * i)).collect();
+        for head in [PredictionHead::Concat, PredictionHead::Attention] {
+            let mut model = RihgcnModel::from_dataset(&ds, cfg.clone().with_head(head));
+            let fresh: Vec<SampleOutput> = samples.iter().map(|s| model.forward(s)).collect();
+            // Interleave with a training step so the recycled session has
+            // seen a backward sweep too; run every batch twice so pooled
+            // buffers are proven fully overwritten between runs.
+            let _ = model.accumulate_gradients(&samples[0]);
+            for b in [1usize, 2, 3, 8, 16] {
+                let refs: Vec<&WindowSample> = samples[..b].iter().collect();
+                let batch = BatchedWindow::from_samples(&refs);
+                for round in 0..2 {
+                    let nodes = model.num_nodes();
+                    let recycled = model
+                        .with_batched_recycled_run(&batch, |sess, run| run.outputs(sess, nodes));
+                    assert_eq!(recycled.len(), b);
+                    for (w, out) in recycled.iter().enumerate() {
+                        assert_eq!(out, &fresh[w], "{head:?}, B={b}, round {round}, window {w}");
+                    }
+                }
+            }
+            let stats = model.training_pool_stats().expect("session exists");
+            assert!(stats.hits > 0, "recycled runs must hit the pool");
         }
-        let stats = model.training_pool_stats().expect("session exists");
-        assert!(stats.hits > 0, "recycled forwards must hit the pool");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! data units.
 
 use crate::{BatchedWindow, RihgcnModel};
-use st_data::{WindowSample, ZScore};
+use st_data::ZScore;
 use st_tensor::Matrix;
 use std::collections::VecDeque;
 use std::error::Error;
@@ -301,44 +301,6 @@ impl OnlineForecaster {
         })
     }
 
-    /// Normalises one frozen entry list into a model sample — the same
-    /// transform for the live window and for snapshots, so a snapshot taken
-    /// at version `v` forecasts bit-identically to a live call at `v`.
-    fn sample_from_entries(&self, entries: &[Arc<(Matrix, Matrix, usize)>]) -> WindowSample {
-        let n = self.model.num_nodes();
-        let d = self.model.num_features();
-        let mut inputs = Vec::with_capacity(entries.len());
-        let mut masks = Vec::with_capacity(entries.len());
-        let mut truths = Vec::with_capacity(entries.len());
-        let mut slots = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let (raw, mask, slot) = &**entry;
-            let norm = self.z.apply_matrix(raw);
-            inputs.push(norm.hadamard(mask));
-            truths.push(norm);
-            masks.push(mask.clone());
-            slots.push(*slot);
-        }
-        // Inference-only: zero targets under an all-zero mask contribute
-        // nothing to the (unused) loss terms.
-        let targets = vec![Matrix::zeros(n, d); self.horizon];
-        let target_masks = vec![Matrix::zeros(n, d); self.horizon];
-        WindowSample {
-            inputs,
-            masks,
-            truths,
-            targets,
-            target_masks,
-            slots,
-            start: 0,
-        }
-    }
-
-    fn build_sample(&self) -> WindowSample {
-        let entries: Vec<Arc<(Matrix, Matrix, usize)>> = self.window.iter().cloned().collect();
-        self.sample_from_entries(&entries)
-    }
-
     /// Buffer-pool statistics of the recycled inference/training tape, if
     /// the model has run at least once (`None` before that).
     pub fn pool_stats(&self) -> Option<st_tensor::PoolStats> {
@@ -351,57 +313,25 @@ impl OnlineForecaster {
         self.model.training_pool_free_bytes()
     }
 
-    /// The `T'`-step forecast in original units, or `None` until a full
-    /// window has been pushed.
-    ///
-    /// Runs through the recycled session (steady-state inference is
-    /// allocation-free on the tape side) and denormalises the predictions
-    /// straight off the live tape — no intermediate `Vec<Matrix>` clone of
-    /// the normalised outputs.
-    pub fn forecast(&mut self) -> Option<Vec<Matrix>> {
-        if !self.ready() {
-            return None;
-        }
-        let sample = self.build_sample();
-        let z = &self.z;
-        Some(self.model.with_recycled_run(&sample, |sess, run| {
-            run.predictions
-                .iter()
-                .map(|&v| z.invert_matrix(sess.tape.value(v)))
-                .collect()
-        }))
-    }
-
-    /// Forecasts `B` frozen windows in one batched tape run, returning each
-    /// snapshot's `T'`-step forecast in original units, in input order.
-    ///
-    /// Entry `b` is bit-identical to what [`OnlineForecaster::forecast`]
-    /// returned (or would have returned) at snapshot `b`'s version: the
-    /// normalisation is byte-for-byte the live path's, and the batched
-    /// forward is bit-identical per block to the single-window forward.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshots` is empty.
-    pub fn forecast_batch(&mut self, snapshots: &[WindowSnapshot]) -> Vec<Vec<Matrix>> {
-        assert!(!snapshots.is_empty(), "forecast_batch needs ≥ 1 snapshot");
+    /// Normalises `B` frozen windows straight into the stacked step blocks
+    /// of one batch: two `(B·N) × D` allocations per step instead of `3B`
+    /// per-window intermediates plus a stacking copy. Every window — live
+    /// or snapshot, forecast or imputation — goes through this one
+    /// transform, so a snapshot taken at version `v` runs bit-identically
+    /// to a live call at `v`.
+    fn stack_snapshots(&self, snapshots: &[WindowSnapshot]) -> BatchedWindow {
         let n = self.model.num_nodes();
         let d = self.model.num_features();
         let b = snapshots.len();
         let t_len = self.history;
         let mean = self.z.mean();
         let std = self.z.std();
-        // Normalise straight into the stacked step blocks: two `(B·N) × D`
-        // allocations per step instead of `3B` per-window intermediates
-        // plus a stacking copy. The elementwise chain is the live path's
-        // `apply_matrix` → `hadamard` verbatim, so the bits match.
         let mut inputs = Vec::with_capacity(t_len);
         let mut masks = Vec::with_capacity(t_len);
-        let mut slots = Vec::with_capacity(t_len);
+        let mut slots = Vec::with_capacity(t_len * b);
         for t in 0..t_len {
             let mut input = Matrix::zeros(b * n, d);
             let mut mask_s = Matrix::zeros(b * n, d);
-            let mut step_slots = Vec::with_capacity(b);
             for (w, snap) in snapshots.iter().enumerate() {
                 assert_eq!(snap.entries.len(), t_len, "snapshot history mismatch");
                 let (raw, mask, slot) = &*snap.entries[t];
@@ -412,20 +342,48 @@ impl OnlineForecaster {
                         mask_s[(w * n + i, j)] = mask[(i, j)];
                     }
                 }
-                step_slots.push(*slot);
+                slots.push(*slot);
             }
             inputs.push(input);
             masks.push(mask_s);
-            slots.push(step_slots);
         }
-        let batch = BatchedWindow::from_parts(inputs, masks, slots, b);
+        BatchedWindow::from_parts(inputs, masks, slots, b)
+    }
+
+    /// The `T'`-step forecast in original units, or `None` until a full
+    /// window has been pushed: [`OnlineForecaster::forecast_batch`] over a
+    /// snapshot of the live window.
+    pub fn forecast(&mut self) -> Option<Vec<Matrix>> {
+        let snapshot = self.snapshot()?;
+        self.forecast_batch(&[snapshot]).pop()
+    }
+
+    /// Forecasts `B` frozen windows in one batched tape run, returning each
+    /// snapshot's `T'`-step forecast in original units, in input order.
+    ///
+    /// Runs through the recycled session (steady-state inference reuses
+    /// the tape's buffer pool). Entry `b` is bit-identical to what
+    /// [`OnlineForecaster::forecast`] returned (or would have returned) at
+    /// snapshot `b`'s version: the batched forward is bit-identical per
+    /// block to a one-window run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `snapshots` is empty.
+    pub fn forecast_batch(&mut self, snapshots: &[WindowSnapshot]) -> Vec<Vec<Matrix>> {
+        assert!(!snapshots.is_empty(), "forecast_batch needs ≥ 1 snapshot");
+        let batch = snapshots.len();
+        let _span = st_obs::span!("core.forward_batched", batch);
+        let n = self.model.num_nodes();
+        let d = self.model.num_features();
+        let stacked = self.stack_snapshots(snapshots);
         let z = &self.z;
         // Denormalise block `b` of each stacked prediction in place off the
         // live tape — the same `v·σ + μ` per element as `invert_matrix` on
         // a row slice, minus the slice — and never touch the (unused)
         // imputation estimates.
-        self.model.with_batched_recycled_run(&batch, |sess, run| {
-            (0..b)
+        self.model.with_batched_recycled_run(&stacked, |sess, run| {
+            (0..batch)
                 .map(|w| {
                     run.predictions
                         .iter()
@@ -444,16 +402,13 @@ impl OnlineForecaster {
     /// The imputed history window in original units (model estimates at
     /// hidden entries, observations elsewhere), or `None` until ready.
     pub fn imputed_window(&mut self) -> Option<Vec<Matrix>> {
-        if !self.ready() {
-            return None;
-        }
-        let sample = self.build_sample();
+        let snapshot = self.snapshot()?;
+        let stacked = self.stack_snapshots(std::slice::from_ref(&snapshot));
         let z = &self.z;
-        let window = &self.window;
-        Some(self.model.with_recycled_run(&sample, |sess, run| {
+        Some(self.model.with_batched_recycled_run(&stacked, |sess, run| {
             run.estimates
                 .iter()
-                .zip(window.iter())
+                .zip(&snapshot.entries)
                 .map(|(&est, entry)| {
                     let (raw, mask, _) = &**entry;
                     // Complement in raw units: keep observations, fill holes

@@ -220,68 +220,12 @@ impl ChebGcn {
     }
 
     /// Like [`ChebGcn::forward`] but with the polynomials `T_k(L̃)`
-    /// precomputed in a [`ChebBasis`]: each term is a single constant
-    /// matmul `T_k(L̃) · x` instead of a tape-level recurrence (`T_0 = I`
-    /// skips the matmul entirely).
+    /// precomputed in a [`ChebBasis`], over a batch of `blocks` windows.
     ///
-    /// Numerically this re-associates the recurrence — results agree with
+    /// Each term is a single constant matmul `T_k(L̃) · x` instead of a
+    /// tape-level recurrence (`T_0 = I` skips the matmul entirely), which
+    /// re-associates the recurrence: results agree with
     /// [`ChebGcn::forward`] to round-off (exactly for `K ≤ 2`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the basis order is below `K` or shapes are inconsistent.
-    pub fn forward_with_basis(
-        &self,
-        sess: &mut Session,
-        store: &ParamStore,
-        basis: &ChebBasis,
-        x: Var,
-    ) -> Var {
-        assert!(
-            basis.order() >= self.k,
-            "basis order {} below layer order {}",
-            basis.order(),
-            self.k
-        );
-        let n = basis.num_nodes();
-        assert_eq!(
-            sess.tape.value(x).rows(),
-            n,
-            "feature rows must match node count"
-        );
-        assert_eq!(
-            sess.tape.value(x).cols(),
-            self.in_dim,
-            "gcn expects width {}",
-            self.in_dim
-        );
-
-        let mut acc: Option<Var> = None;
-        for (order, &wid) in self.weights.iter().enumerate() {
-            let term = if order == 0 {
-                x
-            } else {
-                let t = sess.constant_ref(&basis.matrices()[order]);
-                sess.tape.matmul(t, x)
-            };
-            let w = sess.var(store, wid);
-            let contribution = sess.tape.matmul(term, w);
-            acc = Some(match acc {
-                Some(a) => sess.tape.add(a, contribution),
-                None => contribution,
-            });
-        }
-        let b = sess.var(store, self.bias);
-        let pre = acc.expect("k >= 1 guarantees at least one term");
-        let pre = sess.tape.add_bias(pre, b);
-        match self.activation {
-            Activation::Relu => sess.tape.relu(pre),
-            Activation::Tanh => sess.tape.tanh(pre),
-            Activation::Identity => pre,
-        }
-    }
-
-    /// [`ChebGcn::forward_with_basis`] over a batch of `blocks` windows.
     ///
     /// `x_stacked` is the row-stacked `(B·N) × in_dim` batch and `x_wide`
     /// its wide `N × (B·in_dim)` permutation (shared by every branch of an
@@ -290,14 +234,16 @@ impl ChebGcn {
     /// matmul `T_k(L̃) · x_wide` over all windows, then permutes back to
     /// the stacked layout; the weight products, bias and activation are
     /// row-local on the stack. Block `b` of the output is bit-identical to
-    /// `forward_with_basis` on window `b` alone: matmul accumulates per
+    /// a one-window call on window `b` alone: matmul accumulates per
     /// output element in ascending `k` independent of the operand width,
-    /// and the layout permutations are exact f64 moves.
+    /// and the layout permutations are exact f64 moves. For a single
+    /// window pass the same node as both `x_stacked` and `x_wide` with
+    /// `blocks = 1`.
     ///
     /// # Panics
     ///
     /// Panics if the basis order is below `K` or shapes are inconsistent.
-    pub fn forward_with_basis_batched(
+    pub fn forward_with_basis(
         &self,
         sess: &mut Session,
         store: &ParamStore,
@@ -462,7 +408,7 @@ mod tests {
 
             let mut sess2 = Session::new(&store);
             let x = sess2.constant(x0.clone());
-            let y2 = gcn.forward_with_basis(&mut sess2, &store, &basis, x);
+            let y2 = gcn.forward_with_basis(&mut sess2, &store, &basis, x, x, 1);
             let direct = sess2.tape.value(y2).clone();
 
             let diff = recurrence.max_abs_diff(&direct);
@@ -477,7 +423,7 @@ mod tests {
         let basis = ChebBasis::new(&laplacian(4), 3);
         let mut sess = Session::new(&store);
         let x = sess.constant(Matrix::from_fn(4, 2, |r, c| 0.3 * (r + c) as f64));
-        let y = gcn.forward_with_basis(&mut sess, &store, &basis, x);
+        let y = gcn.forward_with_basis(&mut sess, &store, &basis, x, x, 1);
         let loss = sess.tape.mean(y);
         sess.backward(loss);
         sess.write_grads(&mut store);

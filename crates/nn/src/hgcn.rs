@@ -179,39 +179,8 @@ impl HgcnBlock {
         &self.weight_cache[slot % self.slots_per_day]
     }
 
-    /// Computes the node embeddings `S = HGCN(x)` for a sample observed at
-    /// time-of-day `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` does not have one row per node.
-    pub fn forward(&self, sess: &mut Session, store: &ParamStore, slot: usize, x: Var) -> Var {
-        assert_eq!(
-            sess.tape.value(x).rows(),
-            self.num_nodes,
-            "input must have one row per node"
-        );
-        let geo_out = self.geo.forward_with_basis(sess, store, &self.geo_basis, x);
-        if self.temporal.is_empty() {
-            return geo_out;
-        }
-        let weights = self.weights_for_slot_cached(slot);
-        let mut acc: Option<Var> = None;
-        for ((gcn, basis), &w) in self.temporal.iter().zip(&self.temporal_bases).zip(weights) {
-            let out = gcn.forward_with_basis(sess, store, basis, x);
-            let weighted = sess.tape.scale(out, w);
-            acc = Some(match acc {
-                Some(a) => sess.tape.add(a, weighted),
-                None => weighted,
-            });
-        }
-        let temporal_out = acc.expect("temporal branch list is non-empty");
-        let gate = sess.var(store, self.gate.expect("gate exists with temporal graphs"));
-        let gated = sess.tape.scale_var(temporal_out, gate);
-        sess.tape.concat_cols(geo_out, gated)
-    }
-
-    /// [`HgcnBlock::forward`] over a batch of `slots.len()` windows.
+    /// Computes the node embeddings `S = HGCN(x)` for a batch of
+    /// `slots.len()` windows; a single window is a batch of one.
     ///
     /// `x` is the row-stacked `(B·N) × in_dim` batch; window `b` occupies
     /// rows `[b·N, (b+1)·N)` and was observed at time-of-day `slots[b]`.
@@ -219,39 +188,32 @@ impl HgcnBlock {
     /// shared by the geographic convolution and every temporal branch, so
     /// each Chebyshev propagation is a single packed-panel matmul over all
     /// windows. Per-window interval weights enter as a `B × 1` constant
-    /// through `scale_blocks` — the same one-multiply-per-element scaling
-    /// the unbatched path applies per window — and the learnable gate is
-    /// one scalar shared by every window, exactly as in the single path.
-    /// Block `b` of the output is bit-identical to
-    /// `forward(sess, store, slots[b], window_b)`.
+    /// through `scale_blocks` — one multiply per element — and the
+    /// learnable gate is one scalar shared by every window. Block `b` of
+    /// the output is bit-identical to `forward(sess, store, &[slots[b]],
+    /// window_b)`.
     ///
     /// # Panics
     ///
     /// Panics if `slots` is empty or `x` is not `(B·N) × in_dim`.
-    pub fn forward_batched(
-        &self,
-        sess: &mut Session,
-        store: &ParamStore,
-        slots: &[usize],
-        x: Var,
-    ) -> Var {
+    pub fn forward(&self, sess: &mut Session, store: &ParamStore, slots: &[usize], x: Var) -> Var {
         let b = slots.len();
-        assert!(b > 0, "batched forward needs at least one window");
+        assert!(b > 0, "forward needs at least one window");
         assert_eq!(
             sess.tape.value(x).rows(),
             b * self.num_nodes,
             "input must have one row per (window, node) pair"
         );
         let x_wide = sess.tape.to_wide(x, b);
-        let geo_out =
-            self.geo
-                .forward_with_basis_batched(sess, store, &self.geo_basis, x, x_wide, b);
+        let geo_out = self
+            .geo
+            .forward_with_basis(sess, store, &self.geo_basis, x, x_wide, b);
         if self.temporal.is_empty() {
             return geo_out;
         }
         let mut acc: Option<Var> = None;
         for (branch, (gcn, basis)) in self.temporal.iter().zip(&self.temporal_bases).enumerate() {
-            let out = gcn.forward_with_basis_batched(sess, store, basis, x, x_wide, b);
+            let out = gcn.forward_with_basis(sess, store, basis, x, x_wide, b);
             let s = sess
                 .tape
                 .constant_col_with(b, |w| self.weights_for_slot_cached(slots[w])[branch]);
@@ -346,7 +308,7 @@ mod tests {
         );
         let mut sess = Session::new(&store);
         let x = sess.constant(Matrix::ones(6, 3));
-        let y = block.forward(&mut sess, &store, 100, x);
+        let y = block.forward(&mut sess, &store, &[100], x);
         assert_eq!(sess.tape.value(y).shape(), (6, 8));
         assert!(sess.tape.value(y).is_finite());
     }
@@ -370,7 +332,7 @@ mod tests {
         let run = |slot: usize| {
             let mut sess = Session::new(&store);
             let x = sess.constant(x0.clone());
-            let y = block.forward(&mut sess, &store, slot, x);
+            let y = block.forward(&mut sess, &store, &[slot], x);
             sess.tape.value(y).clone()
         };
         let noon = run(144);
@@ -430,7 +392,7 @@ mod tests {
         assert_eq!(store.value(gate_id)[(0, 0)], 0.1);
         let mut sess = Session::new(&store);
         let x = sess.constant(Matrix::ones(4, 2));
-        let y = block.forward(&mut sess, &store, 144, x);
+        let y = block.forward(&mut sess, &store, &[144], x);
         let loss = sess.tape.mean(y);
         sess.backward(loss);
         sess.write_grads(&mut store);
@@ -456,7 +418,7 @@ mod tests {
         assert!(before > 0);
         let mut sess = Session::new(&store);
         let x = sess.constant(Matrix::ones(4, 2));
-        let y = block.forward(&mut sess, &store, 144, x);
+        let y = block.forward(&mut sess, &store, &[144], x);
         let loss = sess.tape.mean(y);
         sess.backward(loss);
         sess.write_grads(&mut store);

@@ -64,12 +64,21 @@ fn hgcn_check(threads: usize, label: &str) {
         4.0,
         "hgcn",
     );
-    let x0 = uniform_matrix(&mut rng(24), n, 3, -1.0, 1.0);
+    // One window, then a batch of two stacked windows at different slots
+    // (the second inside the other temporal interval).
+    for slots in [&[100][..], &[100, 30][..]] {
+        hgcn_grad_check(&block, &store, slots, label);
+    }
+}
+
+fn hgcn_grad_check(block: &HgcnBlock, store: &ParamStore, slots: &[usize], label: &str) {
+    let n = block.num_nodes();
+    let x0 = uniform_matrix(&mut rng(24), slots.len() * n, 3, -1.0, 1.0);
 
     let run = |store: &ParamStore, id: st_nn::ParamId| -> (f64, Matrix) {
         let mut sess = Session::new(store);
         let x = sess.constant(x0.clone());
-        let y = block.forward(&mut sess, store, 100, x);
+        let y = block.forward(&mut sess, store, slots, x);
         let sq = sess.tape.mul(y, y);
         let loss = sess.tape.mean(sq);
         sess.backward(loss);
@@ -85,7 +94,7 @@ fn hgcn_check(threads: usize, label: &str) {
     let ids: Vec<_> = store.ids().collect();
     let picks = [ids[0], ids[ids.len() / 2], ids[ids.len() - 1]];
     for id in picks {
-        let (_, analytic) = run(&store, id);
+        let (_, analytic) = run(store, id);
         let res = check_gradient(store.value(id), &analytic, 1e-6, |m| {
             let mut s2 = store.clone();
             s2.set_value(id, m.clone());
@@ -93,7 +102,8 @@ fn hgcn_check(threads: usize, label: &str) {
         });
         assert!(
             res.passes(1e-5),
-            "{label}: HGCN grad for {} failed: {res:?}",
+            "{label}, {} window(s): HGCN grad for {} failed: {res:?}",
+            slots.len(),
             store.name(id)
         );
     }

@@ -332,7 +332,7 @@ fn serve_connection(
     let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(write_half);
 
-    for _ in 0..cfg.max_requests_per_connection {
+    for served in 1..=cfg.max_requests_per_connection {
         let req = match http::read_request(&mut reader, cfg.max_body_bytes) {
             Ok(Some(req)) => req,
             Ok(None) => break,
@@ -358,8 +358,12 @@ fn serve_connection(
         let latency_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         metrics.record(outcome.route, latency_us, outcome.status >= 400);
 
-        let keep_alive =
-            !req.wants_close() && !outcome.shutdown_after && !shared.is_shutting_down();
+        // The last response a connection may carry announces the close
+        // the loop is about to make.
+        let keep_alive = served < cfg.max_requests_per_connection
+            && !req.wants_close()
+            && !outcome.shutdown_after
+            && !shared.is_shutting_down();
         let mut extra: Vec<(&str, &str)> = Vec::new();
         if let Some(allow) = outcome.allow {
             extra.push(("Allow", allow));

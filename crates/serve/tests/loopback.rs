@@ -428,3 +428,51 @@ fn shutdown_handle_stops_an_idle_server() {
     assert_eq!(tenant, st_serve::DEFAULT_TENANT);
     assert_eq!(online.len(), 0);
 }
+
+/// A connection capped at two requests must announce the close on its
+/// second response (`Connection: close`) and then actually close, so a
+/// client never sends a third request into a dead socket.
+#[test]
+fn last_allowed_response_announces_close() {
+    use std::io::{Read, Write};
+
+    let (online, _) = forecaster();
+    let server = Server::start(
+        online,
+        ServeConfig {
+            workers: 1,
+            max_requests_per_connection: 2,
+            ..Default::default()
+        },
+    )
+    .expect("bind loopback");
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let get = "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n";
+    stream
+        .write_all(format!("{get}{get}").as_bytes())
+        .expect("send two requests");
+    // The server must close after the second response: reading to EOF
+    // terminates instead of running into the timeout.
+    let mut raw = String::new();
+    stream
+        .read_to_string(&mut raw)
+        .expect("server closes the connection after its last allowed response");
+    let responses: Vec<&str> = raw.split("HTTP/1.1 ").filter(|r| !r.is_empty()).collect();
+    assert_eq!(responses.len(), 2, "raw: {raw}");
+    assert!(responses[0].starts_with("200"), "raw: {raw}");
+    assert!(
+        responses[0].contains("Connection: keep-alive\r\n"),
+        "first response keeps the connection: {raw}"
+    );
+    assert!(responses[1].starts_with("200"), "raw: {raw}");
+    assert!(
+        responses[1].contains("Connection: close\r\n"),
+        "last allowed response announces the close: {raw}"
+    );
+
+    server.shutdown_handle().shutdown();
+    server.join();
+}

@@ -15,11 +15,17 @@
 //! The parallel threshold is forced to 1 so the banded parallel kernels
 //! actually run at this tiny model size; 1, 2 and 4 workers all must agree
 //! (2 puts band boundaries elsewhere than 4 — see `thread_determinism.rs`).
+//!
+//! Serving forecasts through the recycled session (the tape and buffer
+//! pool training steps reuse), so the same batches also run through
+//! `OnlineForecaster::forecast_batch`, twice each, to prove pooled buffers
+//! are fully overwritten between batched runs.
 
 use rihgcn::core::{
-    prepare_split, BatchedWindow, PredictionHead, RihgcnConfig, RihgcnModel, SampleOutput,
+    prepare_split, BatchedWindow, OnlineForecaster, PredictionHead, RihgcnConfig, RihgcnModel,
+    SampleOutput, WindowSnapshot,
 };
-use rihgcn::data::{generate_pems, PemsConfig, WindowSample, WindowSampler};
+use rihgcn::data::{generate_pems, PemsConfig, WindowSample, WindowSampler, ZScore};
 use rihgcn::tensor::{rng, set_parallel_threshold, Matrix};
 
 fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
@@ -69,9 +75,38 @@ fn model_and_windows(head: PredictionHead) -> (RihgcnModel, Vec<WindowSample>) {
     let model = RihgcnModel::from_dataset(&norm.train, cfg);
     // Stride 7 spreads the windows across time-of-day slots, so batch
     // members hit different interval weights in the HGCN.
-    let windows = WindowSampler::new(4, 2, 7).sample(&norm.train);
+    let mut windows = WindowSampler::new(4, 2, 7).sample(&norm.train);
     assert!(windows.len() >= 16, "need 16 distinct windows");
+    // Hidden inputs as +0.0, the way the online window stores them (the
+    // sampler's `value · 0` can be −0.0).
+    for w in &mut windows {
+        for (x, m) in w.inputs.iter_mut().zip(&w.masks) {
+            *x = x.zip_map(m, |v, m| if m == 0.0 { 0.0 } else { v });
+        }
+    }
     (model, windows)
+}
+
+/// An online forecaster over `model` with the identity transform, so its
+/// forecasts are the normalised-space predictions bit for bit, plus one
+/// snapshot per window.
+fn online_with_snapshots(
+    model: RihgcnModel,
+    windows: &[WindowSample],
+) -> (OnlineForecaster, Vec<WindowSnapshot>) {
+    let d = model.num_features();
+    let mut online = OnlineForecaster::new(model, ZScore::from_parts(vec![0.0; d], vec![1.0; d]));
+    let snapshots = windows
+        .iter()
+        .map(|w| {
+            online.reset();
+            for ((x, m), &slot) in w.inputs.iter().zip(&w.masks).zip(&w.slots) {
+                online.push(x.clone(), m.clone(), slot);
+            }
+            online.snapshot().expect("a full window was pushed")
+        })
+        .collect();
+    (online, snapshots)
 }
 
 #[test]
@@ -79,8 +114,9 @@ fn batched_forward_bit_identical_to_sequential() {
     let saved = rihgcn::tensor::parallel_threshold();
     set_parallel_threshold(1);
     for head in [PredictionHead::Concat, PredictionHead::Attention] {
-        let (mut model, windows) = model_and_windows(head);
+        let (model, windows) = model_and_windows(head);
         let singles: Vec<SampleOutput> = windows[..16].iter().map(|w| model.forward(w)).collect();
+        let (mut online, snapshots) = online_with_snapshots(model, &windows[..16]);
         for threads in [1usize, 2, 4] {
             rihgcn::par::set_num_threads(threads);
             for b in [1usize, 2, 3, 8, 16] {
@@ -88,21 +124,26 @@ fn batched_forward_bit_identical_to_sequential() {
                 let batch = BatchedWindow::from_samples(&refs);
                 let what = format!("{head:?} head, B={b}, {threads} threads");
                 // Fresh-session batched forward…
-                let fresh = model.forward_batched(&batch);
+                let fresh = online.model().forward_batched(&batch);
                 assert_eq!(fresh.len(), b);
                 for (i, out) in fresh.iter().enumerate() {
                     assert_outputs_eq(out, &singles[i], &format!("{what}, fresh, window {i}"));
                 }
-                // …and the recycled path, twice, to prove pooled buffers
-                // are fully overwritten between batched runs too.
+                // …and the recycled session, twice. The model's unit test
+                // `recycled_run_matches_fresh_forward_bitwise` pins the
+                // recycled estimates as well.
                 for round in 0..2 {
-                    let recycled = model.forward_batched_recycled(&batch);
-                    for (i, out) in recycled.iter().enumerate() {
-                        assert_outputs_eq(
-                            out,
-                            &singles[i],
-                            &format!("{what}, recycled round {round}, window {i}"),
-                        );
+                    let recycled = online.forecast_batch(&snapshots[..b]);
+                    assert_eq!(recycled.len(), b);
+                    for (i, steps) in recycled.iter().enumerate() {
+                        assert_eq!(steps.len(), singles[i].predictions.len());
+                        for (h, (r, s)) in steps.iter().zip(&singles[i].predictions).enumerate() {
+                            assert_bits_eq(
+                                r,
+                                s,
+                                &format!("{what}, recycled round {round}, window {i} step {h}"),
+                            );
+                        }
                     }
                 }
             }
