@@ -12,7 +12,7 @@ use rihgcn_core::Forecaster;
 use st_autodiff::Var;
 use st_data::{TrafficDataset, WindowSample};
 use st_graph::{gaussian_adjacency, scaled_laplacian_from_adjacency};
-use st_nn::{Activation, ChebGcn, Linear, ParamStore, Session};
+use st_nn::{Activation, ChebGcn, Linear, ParamStore, Session, SessionSlot};
 use st_tensor::{rng, xavier_matrix, Matrix};
 
 /// Hyper-parameters for [`AstgcnLite`].
@@ -48,6 +48,7 @@ impl Default for AstgcnConfig {
 /// The reduced ASTGCN comparator.
 pub struct AstgcnLite {
     store: ParamStore,
+    session: SessionSlot,
     cfg: AstgcnConfig,
     gcn: ChebGcn,
     laplacian: Matrix,
@@ -90,6 +91,7 @@ impl AstgcnLite {
 
         Self {
             store,
+            session: SessionSlot::default(),
             cfg,
             gcn,
             laplacian,
@@ -196,24 +198,27 @@ impl Forecaster for AstgcnLite {
     }
 
     fn accumulate_gradients(&mut self, sample: &WindowSample) -> f64 {
-        let mut sess = Session::new(&self.store);
+        let mut sess = self.session.take(&self.store);
         let (_, loss) = self.run_sample(&mut sess, sample);
         let value = sess.tape.value(loss)[(0, 0)];
         sess.backward(loss);
         sess.write_grads(&mut self.store);
+        self.session.put(sess);
         value
     }
 
     fn loss(&self, sample: &WindowSample) -> f64 {
-        let mut sess = Session::new(&self.store);
-        let (_, loss) = self.run_sample(&mut sess, sample);
-        sess.tape.value(loss)[(0, 0)]
+        self.session.with(&self.store, |sess| {
+            let (_, loss) = self.run_sample(sess, sample);
+            sess.tape.value(loss)[(0, 0)]
+        })
     }
 
     fn predict(&self, sample: &WindowSample) -> Vec<Matrix> {
-        let mut sess = Session::new(&self.store);
-        let (preds, _) = self.run_sample(&mut sess, sample);
-        preds.iter().map(|&v| sess.tape.value(v).clone()).collect()
+        self.session.with(&self.store, |sess| {
+            let (preds, _) = self.run_sample(sess, sample);
+            preds.iter().map(|&v| sess.tape.value(v).clone()).collect()
+        })
     }
 }
 

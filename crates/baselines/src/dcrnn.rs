@@ -14,7 +14,7 @@ use rihgcn_core::Forecaster;
 use st_autodiff::Var;
 use st_data::{TrafficDataset, WindowSample};
 use st_graph::{gaussian_adjacency, scaled_laplacian_from_adjacency};
-use st_nn::{Activation, ChebGcn, Linear, ParamStore, Session};
+use st_nn::{Activation, ChebGcn, Linear, ParamStore, Session, SessionSlot};
 use st_tensor::{rng, Matrix, StRng};
 
 /// Hyper-parameters for [`DcrnnLite`].
@@ -50,6 +50,7 @@ impl Default for DcrnnConfig {
 /// The reduced DCRNN comparator: a GRU over graph convolutions.
 pub struct DcrnnLite {
     store: ParamStore,
+    session: SessionSlot,
     cfg: DcrnnConfig,
     laplacian: Matrix,
     reset_gate: ChebGcn,  // (D+H) → H
@@ -95,6 +96,7 @@ impl DcrnnLite {
 
         Self {
             store,
+            session: SessionSlot::default(),
             cfg,
             laplacian,
             reset_gate,
@@ -183,24 +185,27 @@ impl Forecaster for DcrnnLite {
     }
 
     fn accumulate_gradients(&mut self, sample: &WindowSample) -> f64 {
-        let mut sess = Session::new(&self.store);
+        let mut sess = self.session.take(&self.store);
         let (_, loss) = self.run_sample(&mut sess, sample);
         let value = sess.tape.value(loss)[(0, 0)];
         sess.backward(loss);
         sess.write_grads(&mut self.store);
+        self.session.put(sess);
         value
     }
 
     fn loss(&self, sample: &WindowSample) -> f64 {
-        let mut sess = Session::new(&self.store);
-        let (_, loss) = self.run_sample(&mut sess, sample);
-        sess.tape.value(loss)[(0, 0)]
+        self.session.with(&self.store, |sess| {
+            let (_, loss) = self.run_sample(sess, sample);
+            sess.tape.value(loss)[(0, 0)]
+        })
     }
 
     fn predict(&self, sample: &WindowSample) -> Vec<Matrix> {
-        let mut sess = Session::new(&self.store);
-        let (preds, _) = self.run_sample(&mut sess, sample);
-        preds.iter().map(|&v| sess.tape.value(v).clone()).collect()
+        self.session.with(&self.store, |sess| {
+            let (preds, _) = self.run_sample(sess, sample);
+            preds.iter().map(|&v| sess.tape.value(v).clone()).collect()
+        })
     }
 }
 

@@ -10,7 +10,7 @@
 use rihgcn_core::Forecaster;
 use st_autodiff::Var;
 use st_data::{TrafficDataset, WindowSample};
-use st_nn::{Linear, ParamId, ParamStore, Session};
+use st_nn::{Linear, ParamId, ParamStore, Session, SessionSlot};
 use st_tensor::{rng, uniform_matrix, Matrix};
 
 /// Hyper-parameters for [`GraphWaveNetLite`].
@@ -54,6 +54,7 @@ struct WaveLayer {
 /// The reduced Graph WaveNet comparator.
 pub struct GraphWaveNetLite {
     store: ParamStore,
+    session: SessionSlot,
     cfg: GraphWaveNetConfig,
     in_proj: Linear,
     e1: ParamId,
@@ -106,6 +107,7 @@ impl GraphWaveNetLite {
 
         Self {
             store,
+            session: SessionSlot::default(),
             cfg,
             in_proj,
             e1,
@@ -123,9 +125,10 @@ impl GraphWaveNetLite {
 
     /// The current adaptive adjacency (row-stochastic), detached.
     pub fn adaptive_adjacency(&self) -> Matrix {
-        let mut sess = Session::new(&self.store);
-        let a = self.build_adjacency(&mut sess);
-        sess.tape.value(a).clone()
+        self.session.with(&self.store, |sess| {
+            let a = self.build_adjacency(sess);
+            sess.tape.value(a).clone()
+        })
     }
 
     fn build_adjacency(&self, sess: &mut Session) -> Var {
@@ -218,24 +221,27 @@ impl Forecaster for GraphWaveNetLite {
     }
 
     fn accumulate_gradients(&mut self, sample: &WindowSample) -> f64 {
-        let mut sess = Session::new(&self.store);
+        let mut sess = self.session.take(&self.store);
         let (_, loss) = self.run_sample(&mut sess, sample);
         let value = sess.tape.value(loss)[(0, 0)];
         sess.backward(loss);
         sess.write_grads(&mut self.store);
+        self.session.put(sess);
         value
     }
 
     fn loss(&self, sample: &WindowSample) -> f64 {
-        let mut sess = Session::new(&self.store);
-        let (_, loss) = self.run_sample(&mut sess, sample);
-        sess.tape.value(loss)[(0, 0)]
+        self.session.with(&self.store, |sess| {
+            let (_, loss) = self.run_sample(sess, sample);
+            sess.tape.value(loss)[(0, 0)]
+        })
     }
 
     fn predict(&self, sample: &WindowSample) -> Vec<Matrix> {
-        let mut sess = Session::new(&self.store);
-        let (preds, _) = self.run_sample(&mut sess, sample);
-        preds.iter().map(|&v| sess.tape.value(v).clone()).collect()
+        self.session.with(&self.store, |sess| {
+            let (preds, _) = self.run_sample(sess, sample);
+            preds.iter().map(|&v| sess.tape.value(v).clone()).collect()
+        })
     }
 }
 

@@ -21,7 +21,7 @@ use st_autodiff::Var;
 use st_data::{TrafficDataset, WindowSample};
 use st_graph::gaussian_adjacency;
 use st_graph::scaled_laplacian_from_adjacency;
-use st_nn::{Activation, ChebGcn, Linear, LstmCell, ParamStore, Session};
+use st_nn::{Activation, ChebGcn, Linear, LstmCell, ParamStore, Session, SessionSlot};
 use st_tensor::{rng, Matrix};
 
 /// Which of the six baseline architectures to instantiate.
@@ -130,6 +130,7 @@ struct DirectionCells {
 /// architecture table.
 pub struct StBaseline {
     store: ParamStore,
+    session: SessionSlot,
     kind: BaselineKind,
     cfg: BaselineConfig,
     gcn: Option<ChebGcn>,
@@ -219,6 +220,7 @@ impl StBaseline {
 
         Self {
             store,
+            session: SessionSlot::default(),
             kind,
             cfg,
             gcn,
@@ -425,24 +427,27 @@ impl Forecaster for StBaseline {
     }
 
     fn accumulate_gradients(&mut self, sample: &WindowSample) -> f64 {
-        let mut sess = Session::new(&self.store);
+        let mut sess = self.session.take(&self.store);
         let (_, _, loss) = self.run_sample(&mut sess, sample);
         let value = sess.tape.value(loss)[(0, 0)];
         sess.backward(loss);
         sess.write_grads(&mut self.store);
+        self.session.put(sess);
         value
     }
 
     fn loss(&self, sample: &WindowSample) -> f64 {
-        let mut sess = Session::new(&self.store);
-        let (_, _, loss) = self.run_sample(&mut sess, sample);
-        sess.tape.value(loss)[(0, 0)]
+        self.session.with(&self.store, |sess| {
+            let (_, _, loss) = self.run_sample(sess, sample);
+            sess.tape.value(loss)[(0, 0)]
+        })
     }
 
     fn predict(&self, sample: &WindowSample) -> Vec<Matrix> {
-        let mut sess = Session::new(&self.store);
-        let (preds, _, _) = self.run_sample(&mut sess, sample);
-        preds.iter().map(|&v| sess.tape.value(v).clone()).collect()
+        self.session.with(&self.store, |sess| {
+            let (preds, _, _) = self.run_sample(sess, sample);
+            preds.iter().map(|&v| sess.tape.value(v).clone()).collect()
+        })
     }
 }
 
@@ -450,12 +455,16 @@ impl Imputer for StBaseline {
     /// Imputation estimates; meaningful only for `-I` variants (others
     /// return zero estimates, matching their lack of an imputation path).
     fn impute(&self, sample: &WindowSample) -> Vec<Matrix> {
-        let mut sess = Session::new(&self.store);
-        let (_, ests, _) = self.run_sample(&mut sess, sample);
-        if ests.is_empty() {
-            return vec![Matrix::zeros(self.num_nodes, self.num_features); sample.history_len()];
-        }
-        ests.iter().map(|&v| sess.tape.value(v).clone()).collect()
+        self.session.with(&self.store, |sess| {
+            let (_, ests, _) = self.run_sample(sess, sample);
+            if ests.is_empty() {
+                return vec![
+                    Matrix::zeros(self.num_nodes, self.num_features);
+                    sample.history_len()
+                ];
+            }
+            ests.iter().map(|&v| sess.tape.value(v).clone()).collect()
+        })
     }
 }
 

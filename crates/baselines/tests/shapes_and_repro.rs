@@ -6,14 +6,18 @@
 //! `num_nodes × num_features` with every entry finite, and (b) reproduce
 //! its predictions bit for bit when constructed and trained again from
 //! the same seed — the per-model counterpart of the whole-pipeline
-//! guarantee in the workspace-level `tests/determinism.rs`.
+//! guarantee in the workspace-level `tests/determinism.rs`. The deep
+//! models must also answer bit-identically on their recycled session as
+//! on a fresh one, and be shareable across threads.
 
 use rihgcn_baselines::{
-    mean_fill_samples, AstgcnConfig, AstgcnLite, DcrnnConfig, DcrnnLite, GraphWaveNetConfig,
-    GraphWaveNetLite, HistoricalAverage, StgcnConfig, StgcnLite, VarModel,
+    mean_fill_samples, AstgcnConfig, AstgcnLite, BaselineConfig, BaselineKind, DcrnnConfig,
+    DcrnnLite, GraphWaveNetConfig, GraphWaveNetLite, HistoricalAverage, StBaseline, StgcnConfig,
+    StgcnLite, VarModel,
 };
-use rihgcn_core::{fit, prepare_split, Forecaster, TrainConfig};
+use rihgcn_core::{fit, prepare_split, Forecaster, RihgcnModel, TrainConfig};
 use st_data::{generate_pems, PemsConfig, TrafficDataset, WindowSample, WindowSampler};
+use st_nn::Adam;
 use st_tensor::{rng, Matrix};
 
 const NODES: usize = 4;
@@ -236,4 +240,115 @@ fn different_seeds_change_deep_baseline_predictions() {
     let b = build(44).predict(&samples[0]);
     let identical = a.iter().zip(&b).all(|(m, n)| m.as_slice() == n.as_slice());
     assert!(!identical, "changing the seed must change the predictions");
+}
+
+/// `predict → accumulate_gradients → Adam step → predict` on one model,
+/// every call after the first on its recycled session, must match twins
+/// built from the same seed (and given the same parameters) that answer
+/// on a fresh session.
+fn check_recycled_session<M: Forecaster>(name: &str, sample: &WindowSample, build: impl Fn() -> M) {
+    let mut model = build();
+    let _ = model.predict(sample);
+    let loss = model.accumulate_gradients(sample);
+
+    let mut twin = build();
+    let twin_loss = twin.accumulate_gradients(sample);
+    assert_eq!(loss.to_bits(), twin_loss.to_bits(), "{name}: training loss");
+    for id in model.params().ids() {
+        assert_bitwise_equal(
+            name,
+            std::slice::from_ref(model.params().grad(id)),
+            std::slice::from_ref(twin.params().grad(id)),
+        );
+    }
+
+    Adam::new(model.params(), 1e-2).step(model.params_mut());
+    let recycled = model.predict(sample);
+    let mut twin = build();
+    for id in model.params().ids() {
+        twin.params_mut()
+            .set_value(id, model.params().value(id).clone());
+    }
+    assert_bitwise_equal(name, &recycled, &twin.predict(sample));
+}
+
+#[test]
+fn recycled_sessions_match_fresh_twins() {
+    let (train, samples) = setup();
+    let sample = &samples[0];
+    for kind in BaselineKind::all() {
+        let cfg = BaselineConfig {
+            gcn_dim: 4,
+            lstm_dim: 5,
+            cheb_k: 2,
+            history: HISTORY,
+            horizon: HORIZON,
+            ..Default::default()
+        };
+        check_recycled_session(kind.name(), sample, || {
+            StBaseline::from_dataset(&train, kind, cfg.clone())
+        });
+    }
+    check_recycled_session("STGCN", sample, || {
+        StgcnLite::from_dataset(
+            &train,
+            StgcnConfig {
+                hidden_dim: 4,
+                cheb_k: 2,
+                history: HISTORY,
+                horizon: HORIZON,
+                ..Default::default()
+            },
+        )
+    });
+    check_recycled_session("DCRNN", sample, || {
+        DcrnnLite::from_dataset(
+            &train,
+            DcrnnConfig {
+                hidden_dim: 4,
+                cheb_k: 2,
+                history: HISTORY,
+                horizon: HORIZON,
+                ..Default::default()
+            },
+        )
+    });
+    check_recycled_session("ASTGCN", sample, || {
+        AstgcnLite::from_dataset(
+            &train,
+            AstgcnConfig {
+                gcn_dim: 4,
+                cheb_k: 2,
+                history: HISTORY,
+                horizon: HORIZON,
+                ..Default::default()
+            },
+        )
+    });
+    check_recycled_session("GraphWaveNet", sample, || {
+        GraphWaveNetLite::from_dataset(
+            &train,
+            GraphWaveNetConfig {
+                hidden_dim: 4,
+                embed_dim: 3,
+                history: HISTORY,
+                horizon: HORIZON,
+                ..Default::default()
+            },
+        )
+    });
+}
+
+fn assert_send_sync<T: Send + Sync>() {}
+
+/// Each model parks its recycled session behind a lock, so a shared
+/// `&model` can serve predictions from several threads.
+#[test]
+fn deep_models_are_send_and_sync() {
+    assert_send_sync::<RihgcnModel>();
+    assert_send_sync::<StBaseline>();
+    assert_send_sync::<StgcnLite>();
+    assert_send_sync::<DcrnnLite>();
+    assert_send_sync::<AstgcnLite>();
+    assert_send_sync::<GraphWaveNetLite>();
 }

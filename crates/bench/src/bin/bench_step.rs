@@ -8,13 +8,18 @@
 //! reuse the recycled session, so the `alloc_reduction` metric is exactly
 //! the saving of the zero-reallocation training loop.
 //!
+//! Evaluation is measured the same way: `predict` on the trained model runs
+//! on the recycled session, and `predict_alloc_reduction` compares its
+//! steady-state allocations against a fresh model's first `predict`, whose
+//! session slot is still empty.
+//!
 //! ```text
 //! cargo run --release -p rihgcn-bench --bin bench_step -- [--smoke] [--steps N] [--out FILE]
 //! ```
 //!
 //! Writes a JSON report (default `BENCH_step.json`) and exits non-zero if
-//! any metric is missing/non-finite or the steady-state allocation
-//! reduction falls below 90%.
+//! any metric is missing/non-finite or either steady-state allocation
+//! reduction (training step or `predict`) falls below 90%.
 
 use rihgcn_bench::alloc::{AllocSnapshot, CountingAlloc};
 use rihgcn_core::{Forecaster, RihgcnConfig, RihgcnModel};
@@ -93,7 +98,7 @@ fn main() {
         horizon,
         ..Default::default()
     };
-    let mut model = RihgcnModel::from_dataset(&ds, cfg);
+    let mut model = RihgcnModel::from_dataset(&ds, cfg.clone());
     let sample = WindowSampler::new(history, horizon, 1).window_at(&ds, 0);
     let mut adam = Adam::new(model.params(), 1e-3);
 
@@ -136,8 +141,34 @@ fn main() {
         _ => f64::NAN,
     };
 
+    // Cold evaluation baseline: the first `predict` of a fresh model.
+    let fresh = RihgcnModel::from_dataset(&ds, cfg);
+    let snap = AllocSnapshot::take();
+    let cold = fresh.predict(&sample);
+    let allocs_predict1 = snap.allocations_since();
+    assert!(cold.iter().all(|m| m.is_finite()), "cold predict diverged");
+
+    // Steady-state evaluation on the trained model's recycled session
+    // (calls ≥ 2, matching the training-step means).
+    let mut predict_allocs = Vec::with_capacity(args.steps);
+    let mut predict_bytes = Vec::with_capacity(args.steps);
+    let mut predict_times = Vec::with_capacity(args.steps);
+    for _ in 0..args.steps {
+        let snap = AllocSnapshot::take();
+        let start = Instant::now();
+        let preds = model.predict(&sample);
+        predict_times.push(start.elapsed().as_secs_f64() * 1e3);
+        predict_allocs.push(snap.allocations_since());
+        predict_bytes.push(snap.bytes_since());
+        assert!(preds.iter().all(|m| m.is_finite()), "predict diverged");
+    }
+    let predict_ms = predict_times[1..].iter().sum::<f64>() / steady as f64;
+    let allocs_per_predict = predict_allocs[1..].iter().sum::<u64>() as f64 / steady as f64;
+    let bytes_per_predict = predict_bytes[1..].iter().sum::<u64>() as f64 / steady as f64;
+    let predict_alloc_reduction = 1.0 - allocs_per_predict / allocs_predict1.max(1) as f64;
+
     let json = format!(
-        "{{\n  \"bench\": \"rihgcn_training_step\",\n  \"smoke\": {},\n  \"threads\": {},\n  \"steps\": {},\n  \"time_per_step_ms\": {},\n  \"allocs_step1\": {},\n  \"bytes_step1\": {},\n  \"allocs_per_step\": {},\n  \"bytes_per_step\": {},\n  \"alloc_reduction\": {},\n  \"pool_hit_rate\": {}\n}}\n",
+        "{{\n  \"bench\": \"rihgcn_training_step\",\n  \"smoke\": {},\n  \"threads\": {},\n  \"steps\": {},\n  \"time_per_step_ms\": {},\n  \"allocs_step1\": {},\n  \"bytes_step1\": {},\n  \"allocs_per_step\": {},\n  \"bytes_per_step\": {},\n  \"alloc_reduction\": {},\n  \"pool_hit_rate\": {},\n  \"predict_ms\": {},\n  \"allocs_per_predict\": {},\n  \"bytes_per_predict\": {},\n  \"predict_alloc_reduction\": {}\n}}\n",
         args.smoke,
         st_par::num_threads(),
         args.steps,
@@ -148,15 +179,21 @@ fn main() {
         json_f64(bytes_per_step),
         json_f64(alloc_reduction),
         json_f64(pool_hit_rate),
+        json_f64(predict_ms),
+        json_f64(allocs_per_predict),
+        json_f64(bytes_per_predict),
+        json_f64(predict_alloc_reduction),
     );
     std::fs::write(&args.out, &json).expect("write report");
     print!("{json}");
     eprintln!(
         "step 1: {allocs_step1} allocs / {bytes_step1} B; steady state: \
          {allocs_per_step:.1} allocs / {bytes_per_step:.0} B per step \
-         ({:.1}% reduction, pool hit rate {:.1}%)",
+         ({:.1}% reduction, pool hit rate {:.1}%); predict: {allocs_per_predict:.1} \
+         allocs / {bytes_per_predict:.0} B per call ({:.1}% reduction)",
         alloc_reduction * 100.0,
-        pool_hit_rate * 100.0
+        pool_hit_rate * 100.0,
+        predict_alloc_reduction * 100.0
     );
 
     let metrics = [
@@ -165,6 +202,10 @@ fn main() {
         ("bytes_per_step", bytes_per_step),
         ("alloc_reduction", alloc_reduction),
         ("pool_hit_rate", pool_hit_rate),
+        ("predict_ms", predict_ms),
+        ("allocs_per_predict", allocs_per_predict),
+        ("bytes_per_predict", bytes_per_predict),
+        ("predict_alloc_reduction", predict_alloc_reduction),
     ];
     for (name, value) in metrics {
         if !value.is_finite() {
@@ -172,12 +213,17 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if alloc_reduction < MIN_REDUCTION {
-        eprintln!(
-            "FAIL: steady-state allocation reduction {:.1}% below the {:.0}% floor",
-            alloc_reduction * 100.0,
-            MIN_REDUCTION * 100.0
-        );
-        std::process::exit(1);
+    for (name, reduction) in [
+        ("training-step", alloc_reduction),
+        ("predict", predict_alloc_reduction),
+    ] {
+        if reduction < MIN_REDUCTION {
+            eprintln!(
+                "FAIL: steady-state {name} allocation reduction {:.1}% below the {:.0}% floor",
+                reduction * 100.0,
+                MIN_REDUCTION * 100.0
+            );
+            std::process::exit(1);
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! Allocation-regression guard for the zero-reallocation training loop.
+//! Allocation-regression guard for the zero-reallocation training and
+//! evaluation loops.
 //!
 //! This file must hold exactly one `#[test]`: the counting allocator's
 //! counters are process-global, so a second concurrently-running test would
@@ -6,8 +7,9 @@
 
 use rihgcn_bench::alloc::{AllocSnapshot, CountingAlloc};
 use rihgcn_core::{Forecaster, RihgcnConfig, RihgcnModel};
-use st_data::{generate_pems, PemsConfig, WindowSampler};
+use st_data::{generate_pems, PemsConfig, WindowSample, WindowSampler};
 use st_nn::Adam;
+use st_tensor::Matrix;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -17,6 +19,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// at 1 and at 4 configured worker threads. The model is small enough that
 /// every kernel stays below `st_par`'s parallel threshold, so worker
 /// threads add no allocator traffic of their own.
+///
+/// Evaluation runs on the same recycled session: the third `predict` and
+/// the third `loss` on one model must each allocate under 5% of the first
+/// call on a fresh model, whose session slot is still empty.
 #[test]
 fn steady_state_step_allocates_under_five_percent_of_step_one() {
     for threads in [1usize, 4] {
@@ -37,7 +43,7 @@ fn steady_state_step_allocates_under_five_percent_of_step_one() {
             horizon: 2,
             ..Default::default()
         };
-        let mut model = RihgcnModel::from_dataset(&ds, cfg);
+        let mut model = RihgcnModel::from_dataset(&ds, cfg.clone());
         let sample = WindowSampler::new(4, 2, 1).window_at(&ds, 0);
         let mut adam = Adam::new(model.params(), 1e-3);
 
@@ -86,6 +92,38 @@ fn steady_state_step_allocates_under_five_percent_of_step_one() {
              below the 90% floor ({hits} hits / {misses} misses after step 1)",
             rate * 100.0
         );
+
+        type Eval = fn(&RihgcnModel, &WindowSample);
+        let evals: [(&str, Eval); 2] = [
+            ("predict", |m, s| {
+                assert!(m.predict(s).iter().all(Matrix::is_finite));
+            }),
+            ("loss", |m, s| assert!(m.loss(s).is_finite())),
+        ];
+        for (name, eval) in evals {
+            let fresh = RihgcnModel::from_dataset(&ds, cfg.clone());
+            let allocs: Vec<u64> = (0..3)
+                .map(|_| {
+                    let snap = AllocSnapshot::take();
+                    eval(&fresh, &sample);
+                    snap.allocations_since()
+                })
+                .collect();
+            assert!(
+                allocs[0] > 100,
+                "the first {name} should miss the empty pool on every buffer, got {} allocs",
+                allocs[0]
+            );
+            let limit = allocs[0] / 20;
+            assert!(
+                allocs[2] < limit,
+                "with {threads} threads, the third {name} made {} heap allocations — \
+                 not under 5% of the first's {} (limit {})",
+                allocs[2],
+                allocs[0],
+                limit
+            );
+        }
     }
     st_par::set_num_threads(0);
 }

@@ -21,7 +21,7 @@ use crate::{PredictionHead, RihgcnConfig, TrainConfig};
 use st_autodiff::Var;
 use st_data::{DayProfiles, TrafficDataset, WindowSample};
 use st_graph::{gaussian_adjacency, partition_day, Interval, IntervalConfig};
-use st_nn::{HgcnBlock, Linear, LstmCell, ParamId, ParamStore, Session};
+use st_nn::{HgcnBlock, Linear, LstmCell, ParamId, ParamStore, Session, SessionSlot};
 use st_tensor::{rng, Matrix};
 
 /// One direction's recurrent cells: an LSTM plus the estimation head
@@ -66,6 +66,13 @@ pub(crate) struct Run {
 }
 
 impl Run {
+    /// The loss nodes of a run over a view with targets.
+    fn losses(&self) -> &Losses {
+        self.losses
+            .as_ref()
+            .expect("a view with targets builds losses")
+    }
+
     /// Slices the stacked tape values into per-window outputs (window `b`
     /// = rows `[b·N, (b+1)·N)` of every node, for `nodes = N`).
     fn outputs(&self, sess: &Session, nodes: usize) -> Vec<SampleOutput> {
@@ -256,10 +263,9 @@ pub struct RihgcnModel {
     geo_adj: Matrix,
     temporal_graphs: Vec<(Interval, Matrix)>,
     slots_per_day: usize,
-    // Recycled training session: the tape (and its buffer pool) from the
-    // previous `accumulate_gradients` call, reused so steady-state training
-    // steps run without heap allocation.
-    session: Option<Session>,
+    // The one recycled session every tape run of this model goes through,
+    // so steady-state runs of any kind reuse one buffer pool.
+    session: SessionSlot,
 }
 
 impl RihgcnModel {
@@ -395,7 +401,7 @@ impl RihgcnModel {
             geo_adj,
             temporal_graphs,
             slots_per_day,
-            session: None,
+            session: SessionSlot::default(),
         }
     }
 
@@ -444,17 +450,17 @@ impl RihgcnModel {
         &self.store
     }
 
-    /// Buffer-pool statistics of the recycled training tape, if at least one
-    /// training step has run (`None` before the first
-    /// [`accumulate_gradients`](crate::Forecaster::accumulate_gradients)).
+    /// Buffer-pool statistics of the model's recycled tape, counting every
+    /// run — training steps, `loss`, `forward`, prediction, imputation and
+    /// serving. `None` before the model's first run of any kind.
     pub fn training_pool_stats(&self) -> Option<st_tensor::PoolStats> {
-        self.session.as_ref().map(|s| s.tape.pool_stats())
+        self.session.pool_stats()
     }
 
     /// Bytes parked in the recycled tape pool's free lists (`None` before
-    /// the first step, like [`training_pool_stats`](Self::training_pool_stats)).
+    /// the first run, like [`training_pool_stats`](Self::training_pool_stats)).
     pub fn training_pool_free_bytes(&self) -> Option<usize> {
-        self.session.as_ref().map(|s| s.tape.pool_free_bytes())
+        self.session.pool_free_bytes()
     }
 
     /// Mutable access to the parameter store (for loading persisted
@@ -471,11 +477,11 @@ impl RihgcnModel {
     ///
     /// Panics if the sample's shape disagrees with the model.
     pub fn forward(&self, sample: &WindowSample) -> SampleOutput {
-        let mut sess = Session::new(&self.store);
-        let run = self.run(&mut sess, WindowView::window(sample));
-        run.outputs(&sess, self.num_nodes)
-            .pop()
-            .expect("a one-window run yields one output")
+        self.with_run(WindowView::window(sample), |sess, run| {
+            run.outputs(sess, self.num_nodes)
+        })
+        .pop()
+        .expect("a one-window run yields one output")
     }
 
     /// Runs the model once over a batch of `B` windows, returning each
@@ -493,53 +499,42 @@ impl RihgcnModel {
     ///
     /// Panics if the batch's shape disagrees with the model.
     pub fn forward_batched(&self, batch: &BatchedWindow) -> Vec<SampleOutput> {
-        let mut sess = Session::new(&self.store);
-        let run = self.run(&mut sess, batch.view());
-        run.outputs(&sess, self.num_nodes)
+        self.with_batched_recycled_run(batch, |sess, run| run.outputs(sess, self.num_nodes))
     }
 
-    /// Runs one batch through the recycled session and hands the live tape
-    /// to `f`. The session (tape plus buffer pool) is the one training
-    /// steps recycle, so steady-state inference reuses pooled buffers too;
-    /// serving reads predictions off the stacked tape values in place
-    /// (denormalising block `b` straight into the response), never
-    /// materialising per-window [`SampleOutput`]s.
+    /// Runs one batch and hands the live tape to `f`: serving reads
+    /// predictions off the stacked tape values in place (denormalising
+    /// block `b` straight into the response), never materialising
+    /// per-window [`SampleOutput`]s.
     pub(crate) fn with_batched_recycled_run<R>(
-        &mut self,
+        &self,
         batch: &BatchedWindow,
         f: impl FnOnce(&Session, &Run) -> R,
     ) -> R {
-        let mut sess = self.take_session();
-        let run = self.run(&mut sess, batch.view());
-        let out = f(&sess, &run);
-        self.session = Some(sess);
-        out
+        self.with_run(batch.view(), f)
     }
 
-    /// Take/reset/put: the session (tape + buffer pool) persists across
-    /// calls, so at steady state a run re-records the graph into recycled
-    /// buffers instead of reallocating them. Put it back in
-    /// `self.session` when done.
-    fn take_session(&mut self) -> Session {
-        match self.session.take() {
-            Some(mut s) => {
-                s.reset(&self.store);
-                s
-            }
-            None => Session::new(&self.store),
-        }
+    /// Records one run over `view` on the model's recycled session and
+    /// hands the live tape to `read`. Pooled buffers are fully overwritten
+    /// or `copy_from`-seeded (DESIGN §9), so this is bit-identical to a run
+    /// on a fresh session.
+    fn with_run<R>(&self, view: WindowView<'_>, read: impl FnOnce(&Session, &Run) -> R) -> R {
+        self.session.with(&self.store, |sess| {
+            let run = self.run(sess, view);
+            read(sess, &run)
+        })
     }
 
     /// The `(L_c, L_m)` pair — prediction and imputation loss — of one
     /// sample, before the `λ` weighting (used by the Figure-5 λ study).
     pub fn loss_components(&self, sample: &WindowSample) -> (f64, f64) {
-        let mut sess = Session::new(&self.store);
-        let run = self.run(&mut sess, WindowView::with_targets(sample));
-        let losses = run.losses.expect("a view with targets builds losses");
-        (
-            sess.tape.value(losses.prediction)[(0, 0)],
-            sess.tape.value(losses.imputation)[(0, 0)],
-        )
+        self.with_run(WindowView::with_targets(sample), |sess, run| {
+            let losses = run.losses();
+            (
+                sess.tape.value(losses.prediction)[(0, 0)],
+                sess.tape.value(losses.imputation)[(0, 0)],
+            )
+        })
     }
 
     /// Builds the tape for one view of `B` windows — the model's only
@@ -801,10 +796,9 @@ impl RihgcnModel {
 
     /// Loss of one sample without updating parameters (for validation).
     pub fn loss(&self, sample: &WindowSample) -> f64 {
-        let mut sess = Session::new(&self.store);
-        let run = self.run(&mut sess, WindowView::with_targets(sample));
-        let losses = run.losses.expect("a view with targets builds losses");
-        sess.tape.value(losses.total)[(0, 0)]
+        self.with_run(WindowView::with_targets(sample), |sess, run| {
+            sess.tape.value(run.losses().total)[(0, 0)]
+        })
     }
 }
 
@@ -819,13 +813,17 @@ impl crate::Forecaster for RihgcnModel {
 
     fn accumulate_gradients(&mut self, sample: &WindowSample) -> f64 {
         let _span = st_obs::span!("core.train_step");
-        let mut sess = self.take_session();
-        let run = self.run(&mut sess, WindowView::with_targets(sample));
-        let total = run.losses.expect("a view with targets builds losses").total;
+        // Take/put by hand: `write_grads` needs the store mutably while the
+        // session is out.
+        let mut sess = self.session.take(&self.store);
+        let total = self
+            .run(&mut sess, WindowView::with_targets(sample))
+            .losses()
+            .total;
         let loss_value = sess.tape.value(total)[(0, 0)];
         sess.backward(total);
         sess.write_grads(&mut self.store);
-        self.session = Some(sess);
+        self.session.put(sess);
         loss_value
     }
 
@@ -834,22 +832,69 @@ impl crate::Forecaster for RihgcnModel {
     }
 
     fn predict(&self, sample: &WindowSample) -> Vec<Matrix> {
-        self.forward(sample).predictions
+        self.with_run(WindowView::window(sample), |sess, run| {
+            run.predictions
+                .iter()
+                .map(|&v| sess.tape.value(v).clone())
+                .collect()
+        })
     }
 }
 
 impl crate::Imputer for RihgcnModel {
     fn impute(&self, sample: &WindowSample) -> Vec<Matrix> {
-        self.forward(sample).estimates
+        self.with_run(WindowView::window(sample), |sess, run| {
+            run.estimates
+                .iter()
+                .map(|&v| sess.tape.value(v).clone())
+                .collect()
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Forecaster;
+    use crate::{Forecaster, Imputer};
     use st_data::{generate_pems, PemsConfig, WindowSampler};
     use st_tensor::rng as seeded;
+
+    /// The oracle every recycled entry point is held to: one `run` on a
+    /// fresh session.
+    fn fresh_run(model: &RihgcnModel, view: WindowView<'_>) -> (Session, Run) {
+        let mut sess = Session::new(&model.store);
+        let run = model.run(&mut sess, view);
+        (sess, run)
+    }
+
+    fn bits<'a>(ms: impl IntoIterator<Item = &'a Matrix>) -> Vec<u64> {
+        ms.into_iter()
+            .flat_map(|m| m.as_slice().iter().map(|x| x.to_bits()))
+            .collect()
+    }
+
+    /// Zeroes the gradients, takes one training step and checks its loss
+    /// and every gradient bit against a fresh-session step.
+    fn assert_step_matches_fresh(model: &mut RihgcnModel, sample: &WindowSample, ctx: &str) {
+        let mut oracle = model.store.clone();
+        oracle.zero_grads();
+        let (mut sess, run) = fresh_run(model, WindowView::with_targets(sample));
+        let total = run.losses().total;
+        let want = sess.tape.value(total)[(0, 0)];
+        sess.backward(total);
+        sess.write_grads(&mut oracle);
+        model.store.zero_grads();
+        let got = model.accumulate_gradients(sample);
+        assert_eq!(got.to_bits(), want.to_bits(), "{ctx}: training loss");
+        for id in oracle.ids() {
+            assert_eq!(
+                bits([model.store.grad(id)]),
+                bits([oracle.grad(id)]),
+                "{ctx}: gradient of {}",
+                oracle.name(id)
+            );
+        }
+    }
 
     fn tiny_setup() -> (TrafficDataset, RihgcnConfig) {
         let ds = generate_pems(&PemsConfig {
@@ -909,7 +954,15 @@ mod tests {
         let samples: Vec<WindowSample> = (0..16).map(|i| sampler.window_at(&ds, 5 * i)).collect();
         for head in [PredictionHead::Concat, PredictionHead::Attention] {
             let mut model = RihgcnModel::from_dataset(&ds, cfg.clone().with_head(head));
-            let fresh: Vec<SampleOutput> = samples.iter().map(|s| model.forward(s)).collect();
+            let fresh: Vec<SampleOutput> = samples
+                .iter()
+                .map(|s| {
+                    let (sess, run) = fresh_run(&model, WindowView::window(s));
+                    run.outputs(&sess, model.num_nodes())
+                        .pop()
+                        .expect("one window")
+                })
+                .collect();
             // Interleave with a training step so the recycled session has
             // seen a backward sweep too; run every batch twice so pooled
             // buffers are proven fully overwritten between runs.
@@ -918,18 +971,105 @@ mod tests {
                 let refs: Vec<&WindowSample> = samples[..b].iter().collect();
                 let batch = BatchedWindow::from_samples(&refs);
                 for round in 0..2 {
-                    let nodes = model.num_nodes();
-                    let recycled = model
-                        .with_batched_recycled_run(&batch, |sess, run| run.outputs(sess, nodes));
+                    let recycled = model.forward_batched(&batch);
                     assert_eq!(recycled.len(), b);
                     for (w, out) in recycled.iter().enumerate() {
-                        assert_eq!(out, &fresh[w], "{head:?}, B={b}, round {round}, window {w}");
+                        let ctx = format!("{head:?}, B={b}, round {round}, window {w}");
+                        assert_eq!(bits(&out.predictions), bits(&fresh[w].predictions), "{ctx}");
+                        assert_eq!(bits(&out.estimates), bits(&fresh[w].estimates), "{ctx}");
                     }
                 }
             }
             let stats = model.training_pool_stats().expect("session exists");
             assert!(stats.hits > 0, "recycled runs must hit the pool");
         }
+    }
+
+    #[test]
+    fn every_entry_point_recycles_bit_identically_to_a_fresh_session() {
+        let (ds, cfg) = tiny_setup();
+        let sampler = WindowSampler::new(4, 2, 1);
+        let samples: Vec<WindowSample> = (0..3).map(|i| sampler.window_at(&ds, 7 * i)).collect();
+        let refs: Vec<&WindowSample> = samples.iter().collect();
+        let batch = BatchedWindow::from_samples(&refs);
+        let variants = [
+            cfg.clone(),
+            cfg.clone().with_head(PredictionHead::Attention),
+            cfg.clone().unidirectional(),
+            cfg.with_num_temporal_graphs(0),
+        ];
+        for (v, cfg) in variants.into_iter().enumerate() {
+            let mut model = RihgcnModel::from_dataset(&ds, cfg);
+            let mut adam = st_nn::Adam::new(&model.store, 1e-2);
+            // Every call runs on the one recycled session, interleaving
+            // backward sweeps, loss-only runs and B = 3 batches; the Adam
+            // step between rounds makes the session rebind new values.
+            for (round, s) in samples.iter().enumerate() {
+                let ctx = format!("variant {v}, round {round}");
+                assert_step_matches_fresh(&mut model, s, &ctx);
+
+                let (sess, run) = fresh_run(&model, WindowView::window(s));
+                let want = run
+                    .outputs(&sess, model.num_nodes())
+                    .pop()
+                    .expect("one window");
+                assert_eq!(
+                    bits(&model.predict(s)),
+                    bits(&want.predictions),
+                    "{ctx}: predict"
+                );
+
+                let (sess, run) = fresh_run(&model, batch.view());
+                let want_batch = run.outputs(&sess, model.num_nodes());
+                let got_batch = model.forward_batched(&batch);
+                for (w, (got, exp)) in got_batch.iter().zip(&want_batch).enumerate() {
+                    let what = format!("{ctx}: forward_batched window {w}");
+                    assert_eq!(bits(&got.predictions), bits(&exp.predictions), "{what}");
+                    assert_eq!(bits(&got.estimates), bits(&exp.estimates), "{what}");
+                }
+
+                let (sess, run) = fresh_run(&model, WindowView::with_targets(s));
+                let value = |v: Var| sess.tape.value(v)[(0, 0)].to_bits();
+                let losses = run.losses();
+                assert_eq!(model.loss(s).to_bits(), value(losses.total), "{ctx}: loss");
+                let (lc, lm) = model.loss_components(s);
+                assert_eq!(lc.to_bits(), value(losses.prediction), "{ctx}: L_c");
+                assert_eq!(lm.to_bits(), value(losses.imputation), "{ctx}: L_m");
+
+                assert_eq!(
+                    bits(&model.impute(s)),
+                    bits(&want.estimates),
+                    "{ctx}: impute"
+                );
+                assert_step_matches_fresh(&mut model, s, &ctx);
+                adam.step(&mut model.store);
+            }
+            let stats = model.training_pool_stats().expect("session parked");
+            assert!(
+                stats.hits > 0,
+                "variant {v}: recycled runs must hit the pool"
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_predicts_share_the_model_and_match_sequential_bits() {
+        let (ds, cfg) = tiny_setup();
+        let model = RihgcnModel::from_dataset(&ds, cfg);
+        let sample = WindowSampler::new(4, 2, 1).window_at(&ds, 0);
+        let want = bits(&model.predict(&sample));
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for t in 0..2 {
+                let (model, sample, want, start) = (&model, &sample, &want, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..20 {
+                        assert_eq!(&bits(&model.predict(sample)), want, "thread {t}, call {i}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]

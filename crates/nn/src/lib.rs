@@ -2,8 +2,8 @@
 //!
 //! Built directly on the `st-autodiff` tape:
 //!
-//! * [`ParamStore`] / [`Session`] — parameter ownership and per-pass tape
-//!   binding;
+//! * [`ParamStore`] / [`Session`] / [`SessionSlot`] — parameter ownership,
+//!   per-pass tape binding and the per-model recycled session;
 //! * [`Linear`], [`LstmCell`], [`ChebGcn`], [`HgcnBlock`] — the layers the
 //!   paper's model and every deep baseline are assembled from;
 //! * [`Adam`] with [`ParamStore::clip_grad_norm`] — the paper's optimiser
@@ -52,6 +52,6 @@ pub use hgcn::HgcnBlock;
 pub use linear::Linear;
 pub use lstm::{LstmCell, LstmState};
 pub use metrics::{mae, mape, rmse, ErrorAccum, Metrics};
-pub use params::{ParamId, ParamStore, Session};
+pub use params::{ParamId, ParamStore, Session, SessionSlot};
 pub use schedule::LrSchedule;
 pub use stopping::{EarlyStopping, StopDecision};

@@ -4,10 +4,13 @@
 //! one autodiff [`Tape`] forward pass, lazily binding each parameter onto
 //! the tape the first time a layer uses it and collecting the gradients back
 //! when the pass finishes. This keeps parameters alive across passes (the
-//! tape is rebuilt every step, as in any dynamic-graph framework).
+//! tape is rebuilt every step, as in any dynamic-graph framework); a
+//! [`SessionSlot`] parks one session per model so each pass re-records into
+//! the previous pass's pooled buffers.
 
 use st_autodiff::{Tape, Var};
-use st_tensor::Matrix;
+use st_tensor::{Matrix, PoolStats};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Handle to one parameter matrix inside a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -271,6 +274,90 @@ impl Session {
                 }
             }
         }
+    }
+}
+
+/// One model's parked [`Session`], recycled across every tape run the
+/// model makes — training steps, loss evaluation, prediction, imputation
+/// and serving alike — so at steady state a run re-records its graph into
+/// the pooled buffers of the previous one instead of allocating afresh.
+///
+/// The lock is held only inside [`take`](Self::take) and
+/// [`put`](Self::put), never during a run. Two threads running one model
+/// at once never block each other: whichever finds the slot empty builds a
+/// fresh session (same bits, cold-pool cost), and the last `put` wins. A
+/// run that panics simply never puts its session back.
+///
+/// # Examples
+///
+/// ```
+/// use st_nn::{ParamStore, SessionSlot};
+/// use st_tensor::Matrix;
+///
+/// let mut store = ParamStore::new();
+/// let w = store.add("w", Matrix::ones(2, 2));
+/// let slot = SessionSlot::default();
+/// assert!(slot.pool_stats().is_none());
+/// for _ in 0..2 {
+///     let sum = slot.with(&store, |sess| {
+///         let v = sess.var(&store, w);
+///         let s = sess.tape.sum(v);
+///         sess.tape.value(s)[(0, 0)]
+///     });
+///     assert_eq!(sum, 4.0);
+/// }
+/// assert!(slot.pool_stats().expect("parked after a run").hits > 0);
+/// ```
+#[derive(Debug, Default)]
+pub struct SessionSlot {
+    parked: Mutex<Option<Session>>,
+}
+
+impl SessionSlot {
+    /// Pops the parked session and [`reset`](Session::reset)s it for
+    /// `store`, or builds a fresh one when the slot is empty.
+    pub fn take(&self, store: &ParamStore) -> Session {
+        let parked = self.lock().take();
+        match parked {
+            Some(mut sess) => {
+                sess.reset(store);
+                sess
+            }
+            None => Session::new(store),
+        }
+    }
+
+    /// Parks `sess` for the next [`take`](Self::take).
+    pub fn put(&self, sess: Session) {
+        // A session a concurrent run parked meanwhile is dropped here,
+        // after the lock is released.
+        let _displaced = self.lock().replace(sess);
+    }
+
+    /// Take → `f` → put: one tape run on the recycled session.
+    pub fn with<R>(&self, store: &ParamStore, f: impl FnOnce(&mut Session) -> R) -> R {
+        let mut sess = self.take(store);
+        let out = f(&mut sess);
+        self.put(sess);
+        out
+    }
+
+    /// Buffer-pool statistics of the parked session's tape (`None` before
+    /// the first run, or while the only session is out on a run).
+    pub fn pool_stats(&self) -> Option<PoolStats> {
+        self.lock().as_ref().map(|s| s.tape.pool_stats())
+    }
+
+    /// Bytes parked in the pooled free lists (`None` exactly when
+    /// [`pool_stats`](Self::pool_stats) is).
+    pub fn pool_free_bytes(&self) -> Option<usize> {
+        self.lock().as_ref().map(|s| s.tape.pool_free_bytes())
+    }
+
+    /// Every critical section is one `Option` move that leaves the slot
+    /// valid, so a poisoned lock is recovered rather than propagated.
+    fn lock(&self) -> MutexGuard<'_, Option<Session>> {
+        self.parked.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
