@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the computational kernels behind the experiments:
-//! dense matmul, Chebyshev GCN forward, LSTM step, DTW, adjacency
-//! construction, and a full RIHGCN forward+backward step.
+//! dense matmul, Chebyshev GCN forward, LSTM step, adjacency construction,
+//! and a full RIHGCN forward+backward step. The DTW kernel itself is timed
+//! by the `bench_kernels` scoreboard.
 //!
 //! Runs on the in-tree timing harness (`rihgcn_bench::timing`) so the
 //! workspace needs no external benchmark crate:
@@ -14,7 +15,7 @@ use rihgcn_bench::timing::Runner;
 use rihgcn_core::{Forecaster, RihgcnConfig, RihgcnModel};
 use st_autodiff::Tape;
 use st_data::{generate_pems, DayProfiles, PemsConfig, WindowSampler};
-use st_graph::{dtw, gaussian_adjacency, scaled_laplacian_from_adjacency, Interval, RoadNetwork};
+use st_graph::{gaussian_adjacency, scaled_laplacian_from_adjacency, Interval, RoadNetwork};
 use st_nn::{Activation, ChebGcn, LstmCell, ParamStore, Session};
 use st_tensor::{rng, uniform_matrix, Matrix};
 
@@ -56,14 +57,6 @@ fn bench_lstm_step(runner: &mut Runner) {
         let x = sess.constant(x0.clone());
         cell.step(&mut sess, &store, x, &state)
     });
-}
-
-fn bench_dtw(runner: &mut Runner) {
-    for &len in &[24usize, 288] {
-        let a: Vec<f64> = (0..len).map(|i| (i as f64 * 0.1).sin()).collect();
-        let b: Vec<f64> = (0..len).map(|i| (i as f64 * 0.11 + 0.4).sin()).collect();
-        runner.bench(&format!("dtw/{len}"), || dtw(&a, &b));
-    }
 }
 
 fn bench_adjacency_build(runner: &mut Runner) {
@@ -222,7 +215,6 @@ fn main() {
     bench_matmul(&mut runner);
     bench_gcn_forward(&mut runner);
     bench_lstm_step(&mut runner);
-    bench_dtw(&mut runner);
     bench_adjacency_build(&mut runner);
     bench_backward_sweep(&mut runner);
     bench_imputers(&mut runner);

@@ -5,17 +5,22 @@
 //! Real Penalty and Longest Common Subsequence as alternatives; all three are
 //! implemented here so the temporal-graph construction can be ablated.
 //!
-//! The O(N·M) dynamic programs are split into two phases per row: a
-//! branch-free, data-independent **cost precompute** over the whole row
-//! (pointwise `(aᵢ−bⱼ)²`, `|aᵢ−bⱼ|` or `≤ ε` tests — tight loops the
-//! compiler autovectorises) followed by the inherently serial **scan**,
-//! which carries the diagonal and left cells in registers so the only work
-//! left on the loop-carried critical path is one `min`/`max` and one add.
-//! All DP rows live in a reusable [`DistanceScratch`] so the O(N²) pair
-//! loop of [`pairwise_distances`] performs no per-pair allocations. The
-//! restructuring is value-preserving: every cell combines the same operands
-//! in the same order as the textbook recurrence, so results are bit-exact
-//! against the pre-optimisation implementation.
+//! Every DTW goes through one kernel, [`dtw_lanes`], which runs `L`
+//! independent alignments of equal-length series in lock-step `[f64; L]`
+//! lanes. The DP scan is latency-bound on one `min`/`add` chain per row, so
+//! four lanes fill the time one chain leaves idle; [`pairwise_distances`]
+//! and the interval search feed it four features of a node at a time, and
+//! `L = 1` serves single series. Each lane evaluates exactly the textbook
+//! recurrence — the same operands in the same order — so every distance
+//! keeps its bits whatever its lane or neighbours.
+//!
+//! ERP and LCSS split each row into a branch-free **cost precompute**
+//! (`|aᵢ−bⱼ|` or `≤ ε` tests the compiler autovectorises) and a serial
+//! **scan** that carries the diagonal and left cells in registers. All DP
+//! rows live in a reusable [`DistanceScratch`] so the O(N²) pair loop of
+//! [`pairwise_distances`] performs no per-pair allocations.
+
+use std::ops::Range;
 
 /// A pluggable time-series distance measure.
 ///
@@ -66,7 +71,9 @@ impl SeriesDistance {
     /// so every pair after the first is allocation-free.
     pub fn compute_with(&self, a: &[f64], b: &[f64], scratch: &mut DistanceScratch) -> f64 {
         match *self {
-            SeriesDistance::Dtw => dtw_impl(a, b, usize::MAX, scratch),
+            SeriesDistance::Dtw => {
+                dtw_lanes::<1>(a.as_chunks().0, b.as_chunks().0, usize::MAX, scratch)[0]
+            }
             SeriesDistance::Erp { gap } => erp_impl(a, b, gap, scratch),
             SeriesDistance::Lcss { epsilon } => lcss_impl(a, b, epsilon, scratch),
         }
@@ -90,11 +97,11 @@ impl SeriesDistance {
 /// ```
 #[derive(Debug, Default)]
 pub struct DistanceScratch {
-    /// Previous DP row.
+    /// Previous DP row; lane-major for DTW (`L` values per column).
     prev: Vec<f64>,
-    /// Current DP row.
+    /// Current DP row, laid out like `prev`.
     curr: Vec<f64>,
-    /// Per-row pointwise costs (the vectorisable precompute).
+    /// Per-row pointwise match costs (ERP only).
     cost: Vec<f64>,
     /// Per-element gap costs `|bⱼ − g|` (ERP only, computed once per call).
     gap: Vec<f64>,
@@ -145,72 +152,190 @@ pub fn dtw(a: &[f64], b: &[f64]) -> f64 {
 /// Returns `f64::INFINITY` if either series is empty or the band makes the
 /// end state unreachable.
 pub fn dtw_windowed(a: &[f64], b: &[f64], window: usize) -> f64 {
-    dtw_impl(a, b, window, &mut DistanceScratch::default())
+    let mut scratch = DistanceScratch::default();
+    dtw_lanes::<1>(a.as_chunks().0, b.as_chunks().0, window, &mut scratch)[0]
 }
 
-fn dtw_impl(a: &[f64], b: &[f64], window: usize, s: &mut DistanceScratch) -> f64 {
+/// DTW of `L` series pairs in one DP scan: lane `l` of the result is
+/// [`dtw_windowed`] of lane `l` of `a` against lane `l` of `b`, bit for bit.
+///
+/// `a[i][l]` is element `i` of lane `l`'s first series, so all lanes share
+/// the lengths `a.len()` and `b.len()` and the band. Per cell and lane the
+/// kernel computes `d = aᵢ − bⱼ; d·d + diag.min(up).min(left)`, the
+/// textbook recurrence's operands in its order; lanes never mix, so a NaN
+/// or ∞ in one lane leaves the other lanes' bits untouched. The scan is one
+/// dependent `min`/`add` chain per lane, which is why a few independent
+/// lanes run almost as fast as one.
+///
+/// # Examples
+///
+/// ```
+/// use st_graph::{dtw, dtw_lanes, DistanceScratch};
+///
+/// let (a, b) = ([1.0, 2.0, 3.0], [2.0, 0.5]);
+/// let lanes_a: Vec<[f64; 2]> = a.iter().map(|&x| [x, -x]).collect();
+/// let lanes_b: Vec<[f64; 2]> = b.iter().map(|&x| [x, -x]).collect();
+/// let d = dtw_lanes(&lanes_a, &lanes_b, usize::MAX, &mut DistanceScratch::new());
+/// assert_eq!(d, [dtw(&a, &b), dtw(&a, &b)]);
+/// ```
+pub fn dtw_lanes<const L: usize>(
+    a: &[[f64; L]],
+    b: &[[f64; L]],
+    window: usize,
+    s: &mut DistanceScratch,
+) -> [f64; L] {
     let (n, m) = (a.len(), b.len());
     if n == 0 || m == 0 {
-        return f64::INFINITY;
+        return [f64::INFINITY; L];
     }
     // The band must be at least |n−m| wide to reach the corner.
     let w = window.max(n.abs_diff(m));
-    reset_row(&mut s.prev, m + 1, f64::INFINITY);
-    reset_row(&mut s.curr, m + 1, f64::INFINITY);
-    reset_row(&mut s.cost, m, 0.0);
-    s.prev[0] = 0.0;
-    for i in 1..=n {
-        let ai = a[i - 1];
+    reset_row(&mut s.prev, (m + 1) * L, f64::INFINITY);
+    reset_row(&mut s.curr, (m + 1) * L, f64::INFINITY);
+    let mut prev = s.prev.as_chunks_mut::<L>().0;
+    let mut curr = s.curr.as_chunks_mut::<L>().0;
+    prev[0] = [0.0; L];
+    for (i, ai) in (1usize..).zip(a) {
         let lo = i.saturating_sub(w).max(1);
         let hi = i.saturating_add(w).min(m);
-        // Phase 1 — branch-free pointwise costs over the band, off the DP
-        // critical path so the compiler can vectorise it.
-        let cost = &mut s.cost[lo - 1..hi];
-        for (c, &bv) in cost.iter_mut().zip(&b[lo - 1..hi]) {
-            let d = ai - bv;
-            *c = d * d;
-        }
-        // Phase 2 — the serial scan. `diag` carries prev[j-1] and `left`
-        // carries curr[j-1] in registers; the `min` association order
-        // matches the textbook recurrence exactly.
-        s.curr.fill(f64::INFINITY);
-        let mut diag = s.prev[lo - 1];
-        let mut left = f64::INFINITY;
-        for j in lo..=hi {
-            let up = s.prev[j];
-            let v = cost[j - lo] + diag.min(up).min(left);
-            s.curr[j] = v;
-            left = v;
+        // Cells outside the band are +∞. The next row reads this row from
+        // column lo−1 on, and `curr` still holds row i−2 (or row 0's
+        // `prev[0] = 0`) below this band, so that one cell is reset. Past
+        // `hi` it has never been written: bands only move right.
+        curr[lo - 1] = [f64::INFINITY; L];
+        // `diag` carries prev[j-1] and `left` carries curr[j-1].
+        let mut diag = prev[lo - 1];
+        let mut left = [f64::INFINITY; L];
+        let band = curr[lo..=hi].iter_mut().zip(&prev[lo..=hi]);
+        for ((cell, &up), bj) in band.zip(&b[lo - 1..hi]) {
+            for l in 0..L {
+                let d = ai[l] - bj[l];
+                left[l] = d * d + diag[l].min(up[l]).min(left[l]);
+            }
+            *cell = left;
             diag = up;
         }
-        std::mem::swap(&mut s.prev, &mut s.curr);
+        std::mem::swap(&mut prev, &mut curr);
     }
-    s.prev[m].sqrt()
+    prev[m].map(f64::sqrt)
 }
 
-/// Multivariate DTW: the mean of per-dimension DTW distances.
-///
-/// Each element of `a`/`b` is one dimension's series. Dimensions present in
-/// only one input are ignored; returns `f64::INFINITY` when no dimension is
-/// comparable.
-pub fn dtw_multivariate(a: &[Vec<f64>], b: &[Vec<f64>]) -> f64 {
-    let dims = a.len().min(b.len());
-    if dims == 0 {
-        return f64::INFINITY;
-    }
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for d in 0..dims {
-        let dist = dtw(&a[d], &b[d]);
-        if dist.is_finite() {
-            total += dist;
-            count += 1;
+/// Features per lane group in the DTW sweeps ([`pairwise_distances`] and
+/// the interval search). Wider groups gain little: four lanes already
+/// cover the latency of the scan's dependent chain.
+pub(crate) const LANES: usize = 4;
+
+/// Mean of the finite values pushed, summed in push order; 0 when none.
+#[derive(Default)]
+pub(crate) struct FiniteMean {
+    total: f64,
+    count: usize,
+}
+
+impl FiniteMean {
+    pub(crate) fn push(&mut self, d: f64) {
+        if d.is_finite() {
+            self.total += d;
+            self.count += 1;
         }
     }
-    if count == 0 {
-        f64::INFINITY
+
+    pub(crate) fn value(&self) -> f64 {
+        if self.count > 0 {
+            self.total / self.count as f64
+        } else {
+            0.0
+        }
+    }
+}
+
+/// One node's per-feature series, with each run of [`LANES`] consecutive
+/// equal-length features also interleaved lane-major for [`dtw_lanes`].
+pub(crate) struct LaneNode<'a> {
+    features: &'a [Vec<f64>],
+    /// `groups[g]` interleaves features `LANES·g ..`; `None` when their
+    /// series differ in length.
+    groups: Vec<Option<Vec<[f64; LANES]>>>,
+}
+
+impl<'a> LaneNode<'a> {
+    pub(crate) fn new(features: &'a [Vec<f64>]) -> Self {
+        let groups = features
+            .chunks_exact(LANES)
+            .map(|group| {
+                let len = group[0].len();
+                group.iter().all(|f| f.len() == len).then(|| {
+                    (0..len)
+                        .map(|t| std::array::from_fn(|l| group[l][t]))
+                        .collect()
+                })
+            })
+            .collect();
+        Self { features, groups }
+    }
+
+    /// Pushes the DTW distance of every feature both nodes have into
+    /// `mean`, in feature order. `span` restricts the alignment to samples
+    /// `ra` of `self` against `rb` of `other` (`None`: whole series).
+    ///
+    /// Groups interleaved in both nodes run [`LANES`] features per DP scan;
+    /// the remaining features (a short last group, ragged lengths) run one
+    /// lane each. Either way every distance has the bits of [`dtw`].
+    pub(crate) fn push_dtws(
+        &self,
+        other: &LaneNode<'_>,
+        span: Option<(&Range<usize>, &Range<usize>)>,
+        s: &mut DistanceScratch,
+        mean: &mut FiniteMean,
+    ) {
+        fn cut<'x, T>(x: &'x [T], r: Option<&Range<usize>>) -> &'x [T] {
+            r.map_or(x, |r| &x[r.clone()])
+        }
+        let (ra, rb) = span.unzip();
+        let common = self.features.len().min(other.features.len());
+        for start in (0..common).step_by(LANES) {
+            let end = (start + LANES).min(common);
+            let g = start / LANES;
+            let groups = (self.groups.get(g), other.groups.get(g));
+            if let (Some(Some(a)), Some(Some(b))) = groups {
+                let d = dtw_lanes(cut(a, ra), cut(b, rb), usize::MAX, s);
+                d.into_iter().for_each(|d| mean.push(d));
+                continue;
+            }
+            for f in start..end {
+                let a = cut(&self.features[f], ra).as_chunks().0;
+                let b = cut(&other.features[f], rb).as_chunks().0;
+                mean.push(dtw_lanes::<1>(a, b, usize::MAX, s)[0]);
+            }
+        }
+    }
+}
+
+/// Sets `values[k] = value(k, scratch)` for every `k`, across `st-par`
+/// workers once `work` (estimated DP cells) clears
+/// [`st_tensor::parallel_threshold`].
+///
+/// Values are claimed in fixed runs so each task reuses one scratch across
+/// its run. Each value is still produced wholly by one task, so the result
+/// is bit-identical for any thread count.
+pub(crate) fn fill_with_scratch(
+    values: &mut [f64],
+    work: usize,
+    value: impl Fn(usize, &mut DistanceScratch) -> f64 + Sync,
+) {
+    const RUN: usize = 8;
+    if st_par::num_threads() <= 1 || work < st_tensor::parallel_threshold() {
+        let mut scratch = DistanceScratch::default();
+        for (k, v) in values.iter_mut().enumerate() {
+            *v = value(k, &mut scratch);
+        }
     } else {
-        total / count as f64
+        st_par::par_chunks_mut(values, RUN, |idx, run| {
+            let mut scratch = DistanceScratch::default();
+            for (off, v) in run.iter_mut().enumerate() {
+                *v = value(idx * RUN + off, &mut scratch);
+            }
+        });
     }
 }
 
@@ -220,11 +345,13 @@ pub fn dtw_multivariate(a: &[Vec<f64>], b: &[Vec<f64>]) -> f64 {
 /// between two nodes is the mean finite `measure` distance over their
 /// common features (0 when no feature is comparable). The diagonal is zero.
 ///
-/// The O(N²) pair loop is the hottest step of temporal-graph construction,
-/// so pairs are evaluated across `st-par` workers once the estimated work
-/// clears [`st_tensor::parallel_threshold`]. Each pair's distance is
-/// computed wholly by one worker and written to a dedicated slot, so the
-/// result is bit-identical for any thread count.
+/// The O(N²) pair loop is the hottest step of temporal-graph construction.
+/// Under DTW each node's features are interleaved into lane groups once, so
+/// one [`dtw_lanes`] scan serves four features of a pair; ERP and LCSS run
+/// one feature at a time. Pairs are evaluated across `st-par` workers once
+/// the estimated work clears [`st_tensor::parallel_threshold`]. Each pair's
+/// distance is computed wholly by one worker and written to a dedicated
+/// slot, so the result is bit-identical for any thread count.
 pub fn pairwise_distances(series: &[Vec<Vec<f64>>], measure: SeriesDistance) -> st_tensor::Matrix {
     let n = series.len();
     let mut dist = st_tensor::Matrix::zeros(n, n);
@@ -235,21 +362,21 @@ pub fn pairwise_distances(series: &[Vec<Vec<f64>>], measure: SeriesDistance) -> 
     let pairs: Vec<(usize, usize)> = (0..n)
         .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
         .collect();
-    let pair_distance = |&(i, j): &(usize, usize), scratch: &mut DistanceScratch| -> f64 {
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for f in 0..series[i].len().min(series[j].len()) {
-            let d = measure.compute_with(&series[i][f], &series[j][f], scratch);
-            if d.is_finite() {
-                total += d;
-                count += 1;
+    let lanes: Vec<LaneNode<'_>> = match measure {
+        SeriesDistance::Dtw => series.iter().map(|node| LaneNode::new(node)).collect(),
+        _ => Vec::new(),
+    };
+    let pair_distance = |k: usize, scratch: &mut DistanceScratch| -> f64 {
+        let (i, j) = pairs[k];
+        let mut mean = FiniteMean::default();
+        if lanes.is_empty() {
+            for (a, b) in series[i].iter().zip(&series[j]) {
+                mean.push(measure.compute_with(a, b, scratch));
             }
-        }
-        if count > 0 {
-            total / count as f64
         } else {
-            0.0
+            lanes[i].push_dtws(&lanes[j], None, scratch, &mut mean);
         }
+        mean.value()
     };
 
     // Work estimate: each DTW/ERP/LCSS pair costs O(len²) per feature.
@@ -264,24 +391,8 @@ pub fn pairwise_distances(series: &[Vec<Vec<f64>>], measure: SeriesDistance) -> 
         .saturating_mul(len * len)
         .saturating_mul(features);
 
-    // Pairs are grouped into fixed runs so each worker task reuses one DP
-    // scratch across its run; each value is still produced wholly by one
-    // task, so results stay bit-identical for any thread count.
-    const PAIR_RUN: usize = 8;
     let mut values = vec![0.0; pairs.len()];
-    if st_par::num_threads() <= 1 || work < st_tensor::parallel_threshold() {
-        let mut scratch = DistanceScratch::default();
-        for (v, pair) in values.iter_mut().zip(&pairs) {
-            *v = pair_distance(pair, &mut scratch);
-        }
-    } else {
-        st_par::par_chunks_mut(&mut values, PAIR_RUN, |idx, slots| {
-            let mut scratch = DistanceScratch::default();
-            for (off, v) in slots.iter_mut().enumerate() {
-                *v = pair_distance(&pairs[idx * PAIR_RUN + off], &mut scratch);
-            }
-        });
-    }
+    fill_with_scratch(&mut values, work, pair_distance);
     for (&(i, j), &d) in pairs.iter().zip(&values) {
         dist[(i, j)] = d;
         dist[(j, i)] = d;
@@ -450,15 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn multivariate_averages_dimensions() {
-        let a = vec![vec![1.0, 2.0], vec![5.0, 5.0]];
-        let b = vec![vec![1.0, 2.0], vec![5.0, 5.0]];
-        assert_eq!(dtw_multivariate(&a, &b), 0.0);
-        let c = vec![vec![2.0, 3.0], vec![5.0, 5.0]];
-        assert!(dtw_multivariate(&a, &c) > 0.0);
-    }
-
-    #[test]
     fn erp_identity_and_symmetry() {
         let a = [1.0, 2.0, 3.0];
         assert_eq!(erp(&a, &a, 0.0), 0.0);
@@ -540,13 +642,15 @@ mod tests {
         assert_eq!(d[(0, 1)], 0.0);
     }
 
-    #[test]
-    fn pairwise_is_bitwise_thread_invariant() {
-        let series: Vec<Vec<Vec<f64>>> = (0..9)
+    /// Nine nodes with `features` features each; node 4's third feature
+    /// is shorter than the rest, so its first lane group is ragged.
+    fn lane_series(features: usize) -> Vec<Vec<Vec<f64>>> {
+        (0..9)
             .map(|n| {
-                (0..2)
+                (0..features)
                     .map(|f| {
-                        (0..40)
+                        let len = if n == 4 && f == 2 { 33 } else { 40 };
+                        (0..len)
                             .map(|t| {
                                 ((t + n) as f64 * 0.17 + f as f64 * 0.9).sin() * (n + 1) as f64
                             })
@@ -554,18 +658,46 @@ mod tests {
                     })
                     .collect()
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn pairwise_is_bitwise_thread_invariant() {
+        // 2 features never reach the lane path; 4 is one lane group, 5 a
+        // group plus a single-lane remainder.
         let saved = st_tensor::parallel_threshold();
-        st_tensor::set_parallel_threshold(usize::MAX);
-        let serial = pairwise_distances(&series, SeriesDistance::Dtw);
-        st_tensor::set_parallel_threshold(1);
-        st_par::set_num_threads(4);
-        let parallel = pairwise_distances(&series, SeriesDistance::Dtw);
+        for features in [2, 4, 5] {
+            let series = lane_series(features);
+            st_tensor::set_parallel_threshold(usize::MAX);
+            let serial = pairwise_distances(&series, SeriesDistance::Dtw);
+            // Every entry is the feature-order mean of scalar DTWs.
+            for i in 0..9 {
+                for j in 0..9 {
+                    if i == j {
+                        continue;
+                    }
+                    let mut mean = FiniteMean::default();
+                    for (a, b) in series[i].iter().zip(&series[j]) {
+                        mean.push(dtw(a, b));
+                    }
+                    assert_eq!(serial[(i, j)].to_bits(), mean.value().to_bits());
+                }
+            }
+            st_tensor::set_parallel_threshold(1);
+            for threads in [1, 2, 4] {
+                st_par::set_num_threads(threads);
+                let parallel = pairwise_distances(&series, SeriesDistance::Dtw);
+                for (a, b) in serial.as_slice().iter().zip(parallel.as_slice()) {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{features} features, {threads} threads"
+                    );
+                }
+            }
+        }
         st_par::set_num_threads(0);
         st_tensor::set_parallel_threshold(saved);
-        for (a, b) in serial.as_slice().iter().zip(parallel.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

@@ -16,8 +16,14 @@
 //! length-constraint pruning. Interval profiles are compressed to
 //! grid-resolution means before DTW, which preserves the shape of the
 //! objective while keeping the solver fast.
+//!
+//! The search runs in three passes: enumerate the partitions once, noting
+//! the distinct interval pairs they use; compute each pair's distance once,
+//! across `st-par` workers, four features per DTW scan; then score the
+//! partitions in enumeration order. Every sum keeps its order, so the
+//! result is bit-identical for any thread count.
 
-use crate::distance::dtw;
+use crate::distance::{fill_with_scratch, DistanceScratch, FiniteMean, LaneNode};
 use st_tensor::Matrix;
 use std::collections::HashMap;
 
@@ -199,46 +205,79 @@ pub fn partition_day(node_profiles: &[Matrix], cfg: &IntervalConfig) -> Partitio
         cfg.num_intervals
     );
 
-    // Compress profiles to the candidate grid: one mean row per grid cell.
-    let compressed: Vec<Matrix> = node_profiles
+    // Compress profiles to the candidate grid once (one mean per grid cell
+    // and feature), interleaving each node's features into lane groups.
+    let columns: Vec<Vec<Vec<f64>>> = node_profiles
         .iter()
         .map(|p| compress_profile(p, cfg.candidate_step))
         .collect();
+    let nodes: Vec<LaneNode<'_>> = columns.iter().map(|c| LaneNode::new(c)).collect();
 
-    let min_cells = (cfg.min_len + cfg.candidate_step - 1) / cfg.candidate_step;
+    let min_cells = cfg.min_len.div_ceil(cfg.candidate_step);
     let max_cells = (cfg.max_len / cfg.candidate_step).max(min_cells);
 
-    let mut cache: HashMap<(Interval, Interval), f64> = HashMap::new();
-    let mut best_any: Option<(Vec<Interval>, f64)> = None;
-    let mut best_ok: Option<(Vec<Interval>, f64)> = None;
-
-    // Depth-first enumeration of grid partitions with length pruning.
-    let mut stack: Vec<Interval> = Vec::with_capacity(cfg.num_intervals);
+    // Pass 1: depth-first enumeration of grid partitions with length
+    // pruning, recording each partition's interval pairs as indices into
+    // the distinct pairs, which are kept in first-seen order.
+    let m = cfg.num_intervals;
+    let mut partitions: Vec<Interval> = Vec::new();
+    let mut pair_ids: Vec<usize> = Vec::new();
+    let mut pairs: Vec<(Interval, Interval)> = Vec::new();
+    let mut index: HashMap<(Interval, Interval), usize> = HashMap::new();
+    let mut stack: Vec<Interval> = Vec::with_capacity(m);
     enumerate(
         0,
         grid,
-        cfg.num_intervals,
+        m,
         min_cells.max(1),
         max_cells,
         &mut stack,
         &mut |intervals| {
-            let (score, min_pair) = partition_score(intervals, &compressed, &mut cache);
-            let longest = intervals.iter().map(Interval::len).max().unwrap_or(0);
-            // Grid units here; γ compares against the whole day in grid cells.
-            let gamma_ok = (longest as f64) < cfg.gamma * grid as f64;
-            let eta_ok = score <= 0.0 || min_pair / score <= cfg.eta + 1e-12;
-            if best_any.as_ref().map_or(true, |(_, s)| score > *s) {
-                best_any = Some((intervals.to_vec(), score));
-            }
-            if gamma_ok && eta_ok && best_ok.as_ref().map_or(true, |(_, s)| score > *s) {
-                best_ok = Some((intervals.to_vec(), score));
+            partitions.extend_from_slice(intervals);
+            for i in 0..intervals.len() {
+                for j in i + 1..intervals.len() {
+                    let key = (intervals[i], intervals[j]);
+                    let id = *index.entry(key).or_insert_with(|| {
+                        pairs.push(key);
+                        pairs.len() - 1
+                    });
+                    pair_ids.push(id);
+                }
             }
         },
     );
 
+    // Pass 2: every distinct pair's distance, across st-par workers.
+    let features: usize = columns.iter().map(Vec::len).sum();
+    let work = pairs
+        .len()
+        .saturating_mul(features)
+        .saturating_mul(max_cells * max_cells);
+    let mut distances = vec![0.0; pairs.len()];
+    fill_with_scratch(&mut distances, work, |k, scratch| {
+        interval_distance(pairs[k], &nodes, scratch)
+    });
+
+    // Pass 3: score the partitions in enumeration order.
+    let mut best_any: Option<(&[Interval], f64)> = None;
+    let mut best_ok: Option<(&[Interval], f64)> = None;
+    for (intervals, ids) in partitions.chunks(m).zip(pair_ids.chunks(m * (m - 1) / 2)) {
+        let (score, min_pair) = partition_score(ids, &distances);
+        let longest = intervals.iter().map(Interval::len).max().unwrap_or(0);
+        // Grid units here; γ compares against the whole day in grid cells.
+        let gamma_ok = (longest as f64) < cfg.gamma * grid as f64;
+        let eta_ok = score <= 0.0 || min_pair / score <= cfg.eta + 1e-12;
+        if best_any.is_none_or(|(_, s)| score > s) {
+            best_any = Some((intervals, score));
+        }
+        if gamma_ok && eta_ok && best_ok.is_none_or(|(_, s)| score > s) {
+            best_ok = Some((intervals, score));
+        }
+    }
+
     let (chosen, score, ok) = match (best_ok, best_any) {
-        (Some((iv, s)), _) => (iv, s, true),
-        (None, Some((iv, s))) => (iv, s, false),
+        (Some((iv, s)), _) => (iv.to_vec(), s, true),
+        (None, Some((iv, s))) => (iv.to_vec(), s, false),
         (None, None) => {
             // No partition satisfied even the length constraints: uniform split.
             let cells = grid / cfg.num_intervals;
@@ -305,22 +344,15 @@ fn enumerate(
     }
 }
 
-fn partition_score(
-    intervals: &[Interval],
-    compressed: &[Matrix],
-    cache: &mut HashMap<(Interval, Interval), f64>,
-) -> (f64, f64) {
+/// A partition's total and minimum pairwise distance, summed in the order
+/// its pairs were enumerated.
+fn partition_score(pair_ids: &[usize], distances: &[f64]) -> (f64, f64) {
     let mut total = 0.0;
     let mut min_pair = f64::INFINITY;
-    for i in 0..intervals.len() {
-        for j in i + 1..intervals.len() {
-            let key = (intervals[i], intervals[j]);
-            let d = *cache
-                .entry(key)
-                .or_insert_with(|| interval_distance(intervals[i], intervals[j], compressed));
-            total += d;
-            min_pair = min_pair.min(d);
-        }
+    for &id in pair_ids {
+        let d = distances[id];
+        total += d;
+        min_pair = min_pair.min(d);
     }
     if !min_pair.is_finite() {
         min_pair = 0.0;
@@ -328,37 +360,38 @@ fn partition_score(
     (total, min_pair)
 }
 
-fn interval_distance(a: Interval, b: Interval, compressed: &[Matrix]) -> f64 {
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for profile in compressed {
-        for d in 0..profile.cols() {
-            let sa: Vec<f64> = (a.start..a.end).map(|r| profile[(r, d)]).collect();
-            let sb: Vec<f64> = (b.start..b.end).map(|r| profile[(r, d)]).collect();
-            let dist = dtw(&sa, &sb);
-            if dist.is_finite() {
-                total += dist;
-                count += 1;
-            }
-        }
+/// Mean finite DTW distance over nodes and features between two intervals
+/// of the grid-compressed profiles.
+fn interval_distance(
+    (a, b): (Interval, Interval),
+    nodes: &[LaneNode<'_>],
+    scratch: &mut DistanceScratch,
+) -> f64 {
+    let (ra, rb) = (a.start..a.end, b.start..b.end);
+    let mut mean = FiniteMean::default();
+    for node in nodes {
+        node.push_dtws(node, Some((&ra, &rb)), scratch, &mut mean);
     }
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f64
-    }
+    mean.value()
 }
 
-/// Compresses a `slots × D` profile to one mean row per `step`-slot cell.
-fn compress_profile(profile: &Matrix, step: usize) -> Matrix {
+/// Compresses a `slots × D` profile to one mean per `step`-slot cell,
+/// returned per feature.
+fn compress_profile(profile: &Matrix, step: usize) -> Vec<Vec<f64>> {
     let cells = profile.rows() / step;
-    Matrix::from_fn(cells, profile.cols(), |cell, d| {
-        let mut acc = 0.0;
-        for r in cell * step..(cell + 1) * step {
-            acc += profile[(r, d)];
-        }
-        acc / step as f64
-    })
+    (0..profile.cols())
+        .map(|d| {
+            (0..cells)
+                .map(|cell| {
+                    let mut acc = 0.0;
+                    for r in cell * step..(cell + 1) * step {
+                        acc += profile[(r, d)];
+                    }
+                    acc / step as f64
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Result of [`partition_day_circular`]: the best rotation of the daily

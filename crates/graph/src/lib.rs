@@ -37,8 +37,7 @@ mod road;
 pub use adjacency::{gaussian_adjacency, off_diagonal_std, sparsity};
 pub use connectivity::{connected_components, degrees, is_connected, k_hop_neighbourhood};
 pub use distance::{
-    dtw, dtw_multivariate, dtw_windowed, erp, lcss, pairwise_distances, DistanceScratch,
-    SeriesDistance,
+    dtw, dtw_lanes, dtw_windowed, erp, lcss, pairwise_distances, DistanceScratch, SeriesDistance,
 };
 pub use intervals::{
     interval_weights, partition_day, partition_day_circular, CircularPartition, Interval,

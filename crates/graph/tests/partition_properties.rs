@@ -116,3 +116,58 @@ fn interval_weights_cover_every_slot() {
             },
         );
 }
+
+/// Three nodes with five features each, so the interval search runs one
+/// lane group plus a single-lane remainder per node.
+fn multi_feature_profiles(g: &mut Gen) -> Vec<Matrix> {
+    (0..3)
+        .map(|_| {
+            let hourly = g.vec_f64(24 * 5, 0.0, 100.0);
+            Matrix::from_fn(288, 5, |r, c| {
+                let h = r / 12;
+                let frac = (r % 12) as f64 / 12.0;
+                hourly[c * 24 + h] * (1.0 - frac) + hourly[c * 24 + (h + 1) % 24] * frac
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn partition_is_bitwise_thread_and_threshold_invariant() {
+    let saved = st_tensor::parallel_threshold();
+    let mut g = Gen::new(17);
+    for m in [2, 3, 4] {
+        let profiles = multi_feature_profiles(&mut g);
+        let cfg = IntervalConfig::paper_defaults(m);
+        let mut runs = Vec::new();
+        for threshold in [usize::MAX, 1] {
+            for threads in [1, 4] {
+                st_tensor::set_parallel_threshold(threshold);
+                st_par::set_num_threads(threads);
+                let fixed = partition_day(&profiles, &cfg);
+                // The circular search repeats the fixed one per rotation;
+                // run it only where that stays cheap.
+                let circular = (m < 4).then(|| partition_day_circular(&profiles, &cfg));
+                runs.push((
+                    fixed.intervals,
+                    fixed.score.to_bits(),
+                    fixed.constraints_satisfied,
+                    circular.map(|c| {
+                        let p = c.partition;
+                        (
+                            c.offset,
+                            p.intervals,
+                            p.score.to_bits(),
+                            p.constraints_satisfied,
+                        )
+                    }),
+                ));
+            }
+        }
+        for run in &runs[1..] {
+            assert_eq!(run, &runs[0], "m = {m}");
+        }
+    }
+    st_par::set_num_threads(0);
+    st_tensor::set_parallel_threshold(saved);
+}

@@ -157,7 +157,8 @@ done
 
 echo "== kernel scoreboard smoke (GFLOP/s, bit-identity, 1 and 4 threads) =="
 # bench_kernels proves the blocked matmul kernels bit-identical to the
-# naive references at 1/2/4 worker threads before timing anything, and
+# naive references, and the four-lane DTW kernel and pairwise sweep to
+# one-lane scans, at 1/2/4 worker threads before timing anything, and
 # exits non-zero on any non-finite metric. Run it under both thread-count
 # extremes and check the JSON report has the expected schema.
 for threads in 1 4; do
@@ -167,7 +168,8 @@ for threads in 1 4; do
         --smoke --out "$KERNELS_JSON" >/dev/null
     test -s "$KERNELS_JSON" || { echo "BENCH_kernels.json missing"; exit 1; }
     for key in rihgcn_kernel_scoreboard peak_gflops mem_bw_gbps \
-        min_model_speedup gflops_blocked gflops_naive roofline_gflops; do
+        min_model_speedup gflops_blocked gflops_naive roofline_gflops \
+        min_dtw_lane_speedup ns_per_lane_cell_l1 ns_per_lane_cell_l4; do
         grep -q "$key" "$KERNELS_JSON" || {
             echo "kernel scoreboard missing $key"; exit 1;
         }

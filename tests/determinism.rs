@@ -281,3 +281,39 @@ fn training_trajectory_is_pinned_across_revisions() {
         changed.join("\n")
     );
 }
+
+/// Pins the temporal graphs `RihgcnModel::from_dataset` builds: the Eq. 2
+/// interval partition and every bit of each interval's Eq. 8 adjacency
+/// over DTW distances. A change to the distance kernels or the interval
+/// search that moves a single bit fails here.
+#[test]
+fn temporal_graphs_are_pinned_across_revisions() {
+    let ds = generate_pems(&PemsConfig {
+        num_nodes: 24,
+        num_days: 3,
+        ..Default::default()
+    });
+    assert_eq!(ds.num_features(), 4);
+    let ds = ds.with_extra_missing(0.3, &mut rng(5));
+    let (norm, _) = prepare_split(&ds.split_chronological());
+    let cfg = RihgcnConfig {
+        gcn_dim: 2,
+        lstm_dim: 2,
+        num_temporal_graphs: 4,
+        ..Default::default()
+    };
+    let model = RihgcnModel::from_dataset(&norm.train, cfg);
+    let graphs = model.temporal_graphs();
+    assert_eq!(graphs.len(), 4);
+    let intervals: Vec<(usize, usize)> = graphs.iter().map(|(iv, _)| (iv.start, iv.end)).collect();
+    let digest = fnv1a(graphs.iter().flat_map(|(iv, adj)| {
+        [iv.start as f64, iv.end as f64]
+            .into_iter()
+            .chain(adj.as_slice().iter().copied())
+    }));
+    // Update only for a deliberate change of graph construction.
+    assert_eq!(
+        digest, 0xf765_629c_f207_d873,
+        "temporal graphs changed: intervals {intervals:?}, digest 0x{digest:016x}"
+    );
+}
