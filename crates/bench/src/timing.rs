@@ -17,10 +17,7 @@ use std::time::{Duration, Instant};
 ///
 /// Returns the smallest element such that at least `p·n` of the samples are
 /// `≤` it: index `⌈p·n⌉ − 1` (0-based). For `p = 0.5` on an even count this
-/// selects the **lower** middle element — the previous `len / 2` indexing
-/// (and loadgen's `((len−1)·p).round()`) picked the upper one, an
-/// off-by-one against the nearest-rank definition that `p50`/`p99` report
-/// lines claim.
+/// selects the **lower** middle element.
 ///
 /// `p` is clamped to `(0, 1]`.
 ///

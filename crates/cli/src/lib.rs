@@ -4,15 +4,17 @@
 //!
 //! * `generate` — write a synthetic PeMS-like or Stampede-like dataset to
 //!   CSV (the long format of `st_data::read_csv`);
-//! * `train` — train RIHGCN on a CSV dataset and save the parameters;
-//! * `forecast` — load a trained model and forecast from the dataset's
-//!   final history window, printing one CSV row per (node, feature, step);
+//! * `train` — train RIHGCN on a CSV dataset and save a self-contained
+//!   checkpoint (parameters, config, normalisation stats and graphs);
+//! * `forecast` — load a checkpoint and forecast from the final history
+//!   window of the dataset's test portion, printing one CSV row per
+//!   (node, feature, step);
 //! * `impute` — reconstruct all hidden entries of a CSV dataset with a
 //!   classical imputer and write the completed CSV;
 //! * `evaluate` — train and score RIHGCN plus reference baselines;
-//! * `serve` — run the st-serve HTTP forecast service from a
-//!   self-contained checkpoint (`train --checkpoint`) or a directory of
-//!   checkpoints (`--models DIR`, one tenant per file);
+//! * `serve` — run the st-serve HTTP forecast service from a checkpoint
+//!   written by `train` or a directory of checkpoints (`--models DIR`,
+//!   one tenant per file);
 //! * `checkpoint` — `checkpoint info` prints a checkpoint's shapes,
 //!   config and normalisation stats.
 //!
@@ -23,9 +25,9 @@
 
 use rihgcn_baselines::{knn_impute, last_observed_fill, matrix_factorization_impute};
 use rihgcn_core::{
-    evaluate_imputation, evaluate_prediction, fit, fit_with_observer, load_checkpoint, load_params,
-    prepare_split, save_checkpoint, save_params, JsonlObserver, OnlineForecaster, RihgcnConfig,
-    RihgcnModel, StderrPretty, TrainConfig,
+    evaluate_imputation, evaluate_prediction, fit, fit_with_observer, load_checkpoint,
+    prepare_split, save_checkpoint, JsonlObserver, OnlineForecaster, RihgcnConfig, RihgcnModel,
+    StderrPretty, TrainConfig,
 };
 use st_data::{
     generate_pems, generate_stampede, read_csv, write_csv, PemsConfig, QualityReport,
@@ -74,6 +76,22 @@ impl Options {
         &self.positional
     }
 
+    /// Rejects any flag not named in `allowed` (space-separated names),
+    /// reporting the first unknown one in sorted order.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the unknown flag and `command`.
+    pub fn reject_unknown(&self, command: &str, allowed: &str) -> Result<(), CliError> {
+        let known = |key: &&String| allowed.split_whitespace().any(|name| name == key.as_str());
+        match self.flags.keys().filter(|key| !known(key)).min() {
+            Some(key) => {
+                Err(format!("unknown flag --{key} for `{command}`; try `rihgcn help`").into())
+            }
+            None => Ok(()),
+        }
+    }
+
     /// String flag, if present.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.flags.get(key).map(String::as_str)
@@ -104,17 +122,18 @@ rihgcn — traffic forecasting with missing values (RIHGCN, ICDCS'21)
 USAGE:
   rihgcn generate --dataset pems|stampede --out data.csv
                   [--nodes N] [--days D] [--missing-rate R] [--seed S]
-  rihgcn train    --data data.csv --out model.params
-                  [--checkpoint model.ckpt] [--epochs E] [--graphs M]
-                  [--lambda L] [--gcn-dim F] [--lstm-dim Q]
+  rihgcn train    --data data.csv --out model.ckpt
+                  [--epochs E] [--graphs M] [--lambda L]
+                  [--gcn-dim F] [--lstm-dim Q]
                   [--history T] [--horizon H]
                   [--log-format none|pretty|json]
-  rihgcn forecast --data data.csv --model model.params
-                  [--graphs M] [--gcn-dim F] [--lstm-dim Q]
-                  [--history T] [--horizon H]
+  rihgcn forecast --data data.csv --model model.ckpt
   rihgcn impute   --data data.csv --method last|knn|mf --out filled.csv
+                  [--k K] [--rank R] [--iters I] [--seed S]
   rihgcn inspect  --data data.csv
-  rihgcn evaluate --data data.csv [--epochs E] [--graphs M]
+  rihgcn evaluate --data data.csv [--epochs E] [--graphs M] [--lambda L]
+                  [--gcn-dim F] [--lstm-dim Q]
+                  [--history T] [--horizon H]
   rihgcn serve    --checkpoint model.ckpt | --models DIR
                   [--addr HOST:PORT] [--addr-file F] [--workers K]
                   [--max-conns C] [--shards S] [--max-models K]
@@ -124,9 +143,10 @@ USAGE:
   rihgcn checkpoint info --file model.ckpt
   rihgcn help
 
-`train --checkpoint` writes a self-contained checkpoint (parameters,
-config, normalisation stats and graphs) that `serve` loads without the
-training CSV; `checkpoint info` prints its shapes, config and stats.
+`train` writes a self-contained checkpoint (parameters, config,
+normalisation stats and graphs): `forecast` and `serve` load it without
+the architecture flags or rebuilding the graphs, and `checkpoint info`
+prints its shapes, config and stats.
 `serve` prints `listening on HOST:PORT` (and writes the bound address
 to --addr-file, useful with port 0), then serves POST /observe,
 GET /forecast, GET /imputed, GET /healthz, GET /metrics,
@@ -149,7 +169,8 @@ count, batch bound and linger.
 `train --log-format pretty` streams per-epoch progress to stderr;
 `json` streams one JSON object per epoch (JSON Lines) instead.
 
-Every command also accepts --threads N to set the worker count of the
+A command rejects any flag it does not read. Every command also
+accepts --threads N to set the worker count of the
 parallel kernels (default: ST_NUM_THREADS, else all available cores)
 and --trace FILE to record a Chrome trace_event JSON profile of the
 run (open in chrome://tracing or Perfetto; ST_OBS=1 enables span
@@ -159,6 +180,45 @@ outputs stay bit-identical for any thread count, traced or not.
 Datasets use the long CSV format: node,feature,time,value,observed.
 Generated CSVs embed a synthetic road network; externally produced CSVs
 are assigned a corridor network over their node count.";
+
+/// A subcommand's entry point.
+type Command = fn(&Options, &mut dyn Write) -> Result<(), CliError>;
+
+/// Every subcommand but `help`, with the flags it reads beyond the global
+/// `--threads` and `--trace`; [`run`] rejects any other, so a misspelt or
+/// retired flag fails instead of passing silently.
+const COMMANDS: &[(&str, Command, &str)] = &[
+    (
+        "generate",
+        cmd_generate,
+        "dataset out nodes days missing-rate seed",
+    ),
+    (
+        "train",
+        cmd_train,
+        "data out epochs log-format graphs lambda gcn-dim lstm-dim history horizon",
+    ),
+    ("forecast", cmd_forecast, "data model"),
+    ("impute", cmd_impute, "data method out k rank iters seed"),
+    ("inspect", cmd_inspect, "data"),
+    (
+        "evaluate",
+        cmd_evaluate,
+        "data epochs graphs lambda gcn-dim lstm-dim history horizon",
+    ),
+    (
+        "serve",
+        cmd_serve,
+        "checkpoint models addr addr-file workers max-conns shards max-models \
+        max-batch batch-linger-us watch-stdin log-format",
+    ),
+    ("checkpoint", cmd_checkpoint, "file"),
+];
+
+fn cmd_help(_: &Options, out: &mut dyn Write) -> Result<(), CliError> {
+    writeln!(out, "{USAGE}")?;
+    Ok(())
+}
 
 /// Runs the CLI with the given arguments (without the program name),
 /// writing human-readable output to `out`.
@@ -173,6 +233,14 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         return Err("no command given".into());
     };
     let opts = Options::parse(&args[1..])?;
+    let (handler, flags) = match command.as_str() {
+        "help" | "--help" | "-h" => (cmd_help as Command, ""),
+        name => match COMMANDS.iter().find(|(known, ..)| *known == name) {
+            Some(&(_, handler, flags)) => (handler, flags),
+            None => return Err(format!("unknown command {name:?}; try `rihgcn help`").into()),
+        },
+    };
+    opts.reject_unknown(command, &format!("threads trace {flags}"))?;
     // Global performance knob; never changes numerical results.
     let threads = opts.get_parsed("threads", 0usize)?;
     if threads > 0 {
@@ -183,21 +251,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     if trace_path.is_some() {
         st_obs::set_enabled(true);
     }
-    let result = match command.as_str() {
-        "generate" => cmd_generate(&opts, out),
-        "train" => cmd_train(&opts, out),
-        "forecast" => cmd_forecast(&opts, out),
-        "impute" => cmd_impute(&opts, out),
-        "inspect" => cmd_inspect(&opts, out),
-        "evaluate" => cmd_evaluate(&opts, out),
-        "serve" => cmd_serve(&opts, out),
-        "checkpoint" => cmd_checkpoint(&opts, out),
-        "help" | "--help" | "-h" => {
-            writeln!(out, "{USAGE}")?;
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}; try `rihgcn help`").into()),
-    };
+    let result = handler(&opts, out);
     if result.is_ok() {
         if let Some(path) = trace_path {
             let events = st_obs::trace::write_chrome_trace(&path)?;
@@ -225,6 +279,12 @@ fn cmd_generate(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let days = opts.get_parsed("days", 7usize)?;
     let missing = opts.get_parsed("missing-rate", 0.0f64)?;
     let seed = opts.get_parsed("seed", 7u64)?;
+    if nodes == 0 || days == 0 {
+        return Err("generate needs --nodes and --days of at least 1".into());
+    }
+    if !(0.0..=1.0).contains(&missing) {
+        return Err(format!("invalid --missing-rate {missing}: must be in [0, 1]").into());
+    }
 
     let ds = match dataset {
         "pems" => generate_pems(&PemsConfig {
@@ -281,8 +341,7 @@ fn read_probe_nodes(path: &str) -> Result<usize, CliError> {
     Ok(max_node + 1)
 }
 
-fn model_config(opts: &Options, ds: &TrafficDataset) -> Result<RihgcnConfig, CliError> {
-    let _ = ds;
+fn model_config(opts: &Options) -> Result<RihgcnConfig, CliError> {
     let defaults = RihgcnConfig::default();
     Ok(RihgcnConfig {
         gcn_dim: opts.get_parsed("gcn-dim", 8usize)?,
@@ -299,7 +358,7 @@ fn cmd_train(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let model_path = opts.get("out").ok_or("train requires --out <file>")?;
     let ds = load_dataset(opts)?;
     let (norm, z) = prepare_split(&ds.split_chronological());
-    let cfg = model_config(opts, &ds)?;
+    let cfg = model_config(opts)?;
     let sampler = WindowSampler::new(cfg.history, cfg.horizon, 3);
     let train = sampler.sample(&norm.train);
     let val = sampler.sample(&norm.val);
@@ -315,19 +374,17 @@ fn cmd_train(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     };
     let mut observer = train_observer(opts)?;
     let report = fit_with_observer(&mut model, &train, &val, &tc, observer.as_mut());
-    save_params(model.params(), BufWriter::new(File::create(model_path)?))?;
+    let mut file = BufWriter::new(File::create(model_path)?);
+    save_checkpoint(&model, &z, &mut file)?;
+    file.flush()?;
     writeln!(
         out,
-        "trained {} epochs (best val loss {:.4}); saved {} parameters to {}",
+        "trained {} epochs (best val loss {:.4}); saved a checkpoint of {} parameters to {}",
         report.epochs(),
         report.best_val_loss,
         model.num_parameters(),
         model_path
     )?;
-    if let Some(ckpt_path) = opts.get("checkpoint") {
-        save_checkpoint(&model, &z, BufWriter::new(File::create(ckpt_path)?))?;
-        writeln!(out, "saved self-contained checkpoint to {ckpt_path}")?;
-    }
     Ok(())
 }
 
@@ -374,10 +431,9 @@ fn load_serve_models(opts: &Options) -> Result<Vec<(String, OnlineForecaster)>, 
             }
             Ok(models)
         }
-        (None, None) => Err(
-            "serve requires --checkpoint <file> or --models <dir> (see `train --checkpoint`)"
-                .into(),
-        ),
+        (None, None) => {
+            Err("serve requires --checkpoint <file> or --models <dir> (see `train --out`)".into())
+        }
     }
 }
 
@@ -528,22 +584,43 @@ fn cmd_checkpoint(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
 fn cmd_forecast(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let model_path = opts
         .get("model")
-        .ok_or("forecast requires --model <file>")?;
+        .ok_or("forecast requires --model <model.ckpt>")?;
+    let (model, z) = load_checkpoint(BufReader::new(File::open(model_path)?))?;
     let ds = load_dataset(opts)?;
-    let (norm, z) = prepare_split(&ds.split_chronological());
-    let cfg = model_config(opts, &ds)?;
-    let history = cfg.history;
-    let horizon = cfg.horizon;
-    let mut model = RihgcnModel::from_dataset(&norm.train, cfg);
-    load_params(model.params_mut(), BufReader::new(File::open(model_path)?))?;
+    let shape = (model.num_nodes(), model.num_features());
+    if (ds.num_nodes(), ds.num_features()) != shape {
+        return Err(format!(
+            "dataset has {} nodes × {} features but the checkpoint expects {} × {}",
+            ds.num_nodes(),
+            ds.num_features(),
+            shape.0,
+            shape.1
+        )
+        .into());
+    }
+    // The temporal graphs are indexed by time-of-day slot.
+    if ds.slots_per_day() != model.slots_per_day() {
+        return Err(format!(
+            "dataset has {} time-of-day slots but the checkpoint expects {}",
+            ds.slots_per_day(),
+            model.slots_per_day()
+        )
+        .into());
+    }
 
-    // Forecast from the final history window of the test portion.
-    let sampler = WindowSampler::new(history, horizon, 1);
-    let all = norm.test;
-    if all.num_times() < history + horizon {
+    // Forecast from the final history window of the test portion,
+    // normalised with the statistics the model was trained with.
+    let (history, horizon) = (model.config().history, model.config().horizon);
+    let test = ds.split_chronological().test;
+    if test.num_times() < history + horizon {
         return Err("test split too short for one window".into());
     }
-    let sample = sampler.window_at(&all, all.num_times() - history - horizon);
+    let test = TrafficDataset {
+        values: z.apply(&test.values),
+        ..test
+    };
+    let sampler = WindowSampler::new(history, horizon, 1);
+    let sample = sampler.window_at(&test, test.num_times() - history - horizon);
     let output = model.forward(&sample);
 
     writeln!(out, "node,feature,step,forecast")?;
@@ -607,7 +684,7 @@ fn cmd_inspect(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
 fn cmd_evaluate(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let ds = load_dataset(opts)?;
     let (norm, z) = prepare_split(&ds.split_chronological());
-    let cfg = model_config(opts, &ds)?;
+    let cfg = model_config(opts)?;
     let sampler = WindowSampler::new(cfg.history, cfg.horizon, 3);
     let train = sampler.sample(&norm.train);
     let val = sampler.sample(&norm.val);
@@ -639,9 +716,38 @@ fn cmd_evaluate(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use st_serve::metrics::sample_value;
+    use st_serve::{wire, HttpClient};
+    use st_tensor::Matrix;
+    use std::path::Path;
+    use std::time::{Duration, Instant};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// `command` split on whitespace, then a `--flag path` pair per entry
+    /// of `paths` (kept whole, so a path may hold spaces).
+    fn argv(command: &str, paths: &[(&str, &Path)]) -> Vec<String> {
+        let mut out = args(&command.split_whitespace().collect::<Vec<_>>());
+        for (flag, path) in paths {
+            out.extend([format!("--{flag}"), path.to_str().unwrap().to_string()]);
+        }
+        out
+    }
+
+    /// Runs [`argv`]`(command, paths)`, which must succeed; returns the output.
+    fn run_ok(command: &str, paths: &[(&str, &Path)]) -> String {
+        let mut buf = Vec::new();
+        run(&argv(command, paths), &mut buf).unwrap_or_else(|e| panic!("{command}: {e}"));
+        String::from_utf8(buf).unwrap()
+    }
+
+    /// Runs [`argv`]`(command, paths)`, which must fail; returns the error.
+    fn run_err(command: &str, paths: &[(&str, &Path)]) -> String {
+        let mut buf = Vec::new();
+        let result = run(&argv(command, paths), &mut buf);
+        result.expect_err(command).to_string()
     }
 
     #[test]
@@ -691,43 +797,12 @@ mod tests {
     fn generate_and_impute_round_trip() {
         let dir = std::env::temp_dir().join("rihgcn-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let data = dir.join("data.csv");
-        let filled = dir.join("filled.csv");
-        let mut buf = Vec::new();
-        run(
-            &args(&[
-                "generate",
-                "--dataset",
-                "pems",
-                "--out",
-                data.to_str().unwrap(),
-                "--nodes",
-                "3",
-                "--days",
-                "1",
-                "--missing-rate",
-                "0.3",
-            ]),
-            &mut buf,
-        )
-        .unwrap();
+        let (data, filled) = (dir.join("data.csv"), dir.join("filled.csv"));
+        let generate = "generate --dataset pems --nodes 3 --days 1 --missing-rate 0.3";
+        let mut text = run_ok(generate, &[("out", &data)]);
         assert!(data.exists());
-
-        run(
-            &args(&[
-                "impute",
-                "--data",
-                data.to_str().unwrap(),
-                "--method",
-                "last",
-                "--out",
-                filled.to_str().unwrap(),
-            ]),
-            &mut buf,
-        )
-        .unwrap();
+        text += &run_ok("impute --method last", &[("data", &data), ("out", &filled)]);
         assert!(filled.exists());
-        let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("wrote"));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -737,31 +812,9 @@ mod tests {
         let dir = std::env::temp_dir().join("rihgcn-cli-inspect");
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("data.csv");
-        let mut buf = Vec::new();
-        run(
-            &args(&[
-                "generate",
-                "--dataset",
-                "pems",
-                "--out",
-                data.to_str().unwrap(),
-                "--nodes",
-                "3",
-                "--days",
-                "1",
-                "--missing-rate",
-                "0.4",
-            ]),
-            &mut buf,
-        )
-        .unwrap();
-        let mut buf = Vec::new();
-        run(
-            &args(&["inspect", "--data", data.to_str().unwrap()]),
-            &mut buf,
-        )
-        .unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let generate = "generate --dataset pems --nodes 3 --days 1 --missing-rate 0.4";
+        run_ok(generate, &[("out", &data)]);
+        let text = run_ok("inspect", &[("data", &data)]);
         assert!(text.contains("missing rate"), "{text}");
         assert!(text.contains("daily autocorrelation"), "{text}");
         std::fs::remove_dir_all(&dir).ok();
@@ -777,99 +830,140 @@ mod tests {
         assert!(err.to_string().contains("--threads"));
     }
 
-    #[test]
-    fn train_checkpoint_then_serve_end_to_end() {
-        let dir = std::env::temp_dir().join("rihgcn-cli-serve");
-        std::fs::create_dir_all(&dir).unwrap();
-        let data = dir.join("data.csv");
-        let params = dir.join("model.params");
-        let ckpt = dir.join("model.ckpt");
-        let addr_file = dir.join("addr.txt");
-
-        let mut buf = Vec::new();
-        run(
-            &args(&[
-                "generate",
-                "--dataset",
-                "pems",
-                "--out",
-                data.to_str().unwrap(),
-                "--nodes",
-                "4",
-                "--days",
-                "1",
-                "--missing-rate",
-                "0.2",
-            ]),
-            &mut buf,
+    /// Generates a 4-node, one-day PeMS CSV from data seed `seed` and
+    /// trains one epoch of a small model on it into the checkpoint `ckpt`,
+    /// returning the training output and the dataset.
+    fn train_small_checkpoint(dir: &Path, seed: &str, ckpt: &Path) -> (String, TrafficDataset) {
+        let data = dir.join(format!("data-{seed}.csv"));
+        let generate =
+            format!("generate --dataset pems --nodes 4 --days 1 --missing-rate 0.2 --seed {seed}");
+        run_ok(&generate, &[("out", &data)]);
+        let train = "train --epochs 1 --gcn-dim 4 --lstm-dim 6 --graphs 2 --history 4 --horizon 2";
+        let log = run_ok(train, &[("data", &data), ("out", ckpt)]);
+        (
+            log,
+            load_dataset(&Options::parse(&argv("", &[("data", &data)])).unwrap()).unwrap(),
         )
-        .unwrap();
-        run(
-            &args(&[
-                "train",
-                "--data",
-                data.to_str().unwrap(),
-                "--out",
-                params.to_str().unwrap(),
-                "--checkpoint",
-                ckpt.to_str().unwrap(),
-                "--epochs",
-                "1",
-                "--gcn-dim",
-                "4",
-                "--lstm-dim",
-                "6",
-                "--graphs",
-                "2",
-                "--history",
-                "4",
-                "--horizon",
-                "2",
-            ]),
-            &mut buf,
-        )
-        .unwrap();
-        assert!(ckpt.exists());
-        assert!(String::from_utf8(buf).unwrap().contains("checkpoint"));
+    }
 
-        // Serve from the checkpoint on an ephemeral port in a thread.
-        let serve_args = args(&[
-            "serve",
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-            "--addr",
-            "127.0.0.1:0",
-            "--addr-file",
-            addr_file.to_str().unwrap(),
-            "--workers",
-            "2",
-        ]);
+    /// Runs `serve` on a thread and waits until it has written its bound
+    /// address to `addr_file`. Returns the address and the thread, which
+    /// yields the server log once the server shuts down.
+    fn start_server(
+        serve_args: Vec<String>,
+        addr_file: &Path,
+    ) -> (String, std::thread::JoinHandle<String>) {
+        std::fs::remove_file(addr_file).ok();
         let server = std::thread::spawn(move || {
             let mut buf = Vec::new();
             run(&serve_args, &mut buf).unwrap();
             String::from_utf8(buf).unwrap()
         });
-
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        let deadline = Instant::now() + Duration::from_secs(20);
         let addr = loop {
-            if let Ok(text) = std::fs::read_to_string(&addr_file) {
-                let text = text.trim().to_string();
-                if !text.is_empty() {
-                    break text;
+            if let Ok(text) = std::fs::read_to_string(addr_file) {
+                if !text.trim().is_empty() {
+                    break text.trim().to_string();
                 }
             }
-            assert!(std::time::Instant::now() < deadline, "server never bound");
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!server.is_finished(), "server exited before binding");
+            assert!(Instant::now() < deadline, "server never bound");
+            std::thread::sleep(Duration::from_millis(20));
         };
+        (addr, server)
+    }
 
-        let mut client =
-            st_serve::HttpClient::connect(&addr, std::time::Duration::from_secs(10)).unwrap();
+    fn connect(addr: &str) -> HttpClient {
+        HttpClient::connect(addr, Duration::from_secs(10)).unwrap()
+    }
+
+    /// The in-process forecaster a served tenant must match bit for bit.
+    fn oracle(ckpt: &Path) -> OnlineForecaster {
+        OnlineForecaster::from_checkpoint(&mut BufReader::new(File::open(ckpt).unwrap())).unwrap()
+    }
+
+    /// Posts the first `history` steps of `ds`, its missing entries masked
+    /// out so the window exercises imputation, to `route` and pushes the
+    /// same ones into `oracle`.
+    fn fill_window(
+        client: &mut HttpClient,
+        route: &str,
+        oracle: &mut OnlineForecaster,
+        ds: &TrafficDataset,
+    ) {
+        let slots = oracle.model().slots_per_day();
+        for t in 0..oracle.history() {
+            let (values, mask) = (ds.values.time_slice(t), ds.mask.time_slice(t));
+            let body = wire::format_observation(t % slots, &values, &mask);
+            client
+                .post_ok(route, &body)
+                .unwrap_or_else(|e| panic!("{route} t={t}: {e}"));
+            oracle.push(values, mask, t % slots);
+        }
+    }
+
+    /// Value of the sample `name` in a `/metrics` scrape.
+    fn metric_value(metrics: &str, name: &str) -> f64 {
+        sample_value(metrics, name).unwrap_or_else(|| panic!("metrics missing {name}:\n{metrics}"))
+    }
+
+    #[test]
+    fn train_checkpoint_then_serve_end_to_end() {
+        let dir = std::env::temp_dir().join("rihgcn-cli-serve");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("model.ckpt");
+        let (log, ds) = train_small_checkpoint(&dir, "7", &ckpt);
+        assert!(log.contains("saved a checkpoint"), "{log}");
+        let mut oracle = oracle(&ckpt);
+
+        // Serve from the checkpoint on an ephemeral port in a thread.
+        let addr_file = dir.join("addr.txt");
+        let serve = argv(
+            "serve --addr 127.0.0.1:0 --workers 2",
+            &[("checkpoint", &ckpt), ("addr-file", &addr_file)],
+        );
+        let (addr, server) = start_server(serve, &addr_file);
+        let mut client = connect(&addr);
         let health = client.get_ok("/healthz").unwrap();
         assert!(health.contains("nodes 4"), "health: {health}");
+
+        // An empty window answers 409, not a hang or a 500.
+        let resp = client.request("GET", "/forecast", "").unwrap();
+        assert_eq!(resp.status, 409, "body: {}", resp.body);
+
+        assert!(
+            (0..oracle.history()).any(|t| ds.mask.time_slice(t).as_slice().contains(&0.0)),
+            "the window must hold missing entries"
+        );
+        fill_window(&mut client, "/observe", &mut oracle, &ds);
+        let (_, steps) = wire::parse_steps(&client.get_ok("/forecast").unwrap()).unwrap();
+        assert_eq!(steps.len(), oracle.horizon());
+        for step in &steps {
+            assert_eq!(step.shape(), (4, oracle.model().num_features()));
+            assert!(step.is_finite(), "non-finite forecast: {step:?}");
+        }
+        assert_eq!(
+            steps,
+            oracle.forecast().unwrap(),
+            "the served forecast must be bit-equal to the in-process forecaster"
+        );
+        let (_, imputed) = wire::parse_steps(&client.get_ok("/imputed").unwrap()).unwrap();
+        assert_eq!(imputed.len(), oracle.history());
+        assert_eq!(imputed, oracle.imputed_window().unwrap());
+
+        let metrics = client.get_ok("/metrics").unwrap();
+        for needle in [
+            "st_serve_requests_total{route=\"forecast\"}",
+            "st_serve_latency_bucket{le=\"+inf\"}",
+        ] {
+            assert!(metrics.contains(needle), "metrics missing {needle}");
+        }
+
         client.post_ok("/admin/shutdown", "").unwrap();
         let log = server.join().unwrap();
         assert!(log.contains("listening on"), "log: {log}");
-        assert!(log.contains("server stopped"), "log: {log}");
+        let stopped = format!("server stopped after {} observations", oracle.history());
+        assert!(log.contains(&stopped), "log: {log}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -878,62 +972,16 @@ mod tests {
         let dir = std::env::temp_dir().join("rihgcn-cli-multitenant");
         let models_dir = dir.join("models");
         std::fs::create_dir_all(&models_dir).unwrap();
-        let data = dir.join("data.csv");
-        let ckpt = dir.join("model.ckpt");
-        let addr_file = dir.join("addr.txt");
-
-        let mut buf = Vec::new();
-        run(
-            &args(&[
-                "generate",
-                "--dataset",
-                "pems",
-                "--out",
-                data.to_str().unwrap(),
-                "--nodes",
-                "4",
-                "--days",
-                "1",
-                "--missing-rate",
-                "0.2",
-            ]),
-            &mut buf,
-        )
-        .unwrap();
-        run(
-            &args(&[
-                "train",
-                "--data",
-                data.to_str().unwrap(),
-                "--out",
-                dir.join("model.params").to_str().unwrap(),
-                "--checkpoint",
-                ckpt.to_str().unwrap(),
-                "--epochs",
-                "1",
-                "--gcn-dim",
-                "4",
-                "--lstm-dim",
-                "6",
-                "--graphs",
-                "2",
-                "--history",
-                "4",
-                "--horizon",
-                "2",
-            ]),
-            &mut buf,
-        )
-        .unwrap();
+        // Checkpoints trained on differently seeded data, so that the
+        // tenants hold two different models.
+        let ckpts = [dir.join("seed7.ckpt"), dir.join("seed9.ckpt")];
+        let data = [
+            train_small_checkpoint(&dir, "7", &ckpts[0]).1,
+            train_small_checkpoint(&dir, "9", &ckpts[1]).1,
+        ];
 
         // `checkpoint info` prints shapes, config and zscore stats.
-        let mut buf = Vec::new();
-        run(
-            &args(&["checkpoint", "info", "--file", ckpt.to_str().unwrap()]),
-            &mut buf,
-        )
-        .unwrap();
-        let info = String::from_utf8(buf).unwrap();
+        let info = run_ok("checkpoint info", &[("file", &ckpts[1])]);
         assert!(info.contains("nodes 4"), "info: {info}");
         assert!(info.contains("history 4  horizon 2"), "info: {info}");
         assert!(
@@ -946,130 +994,117 @@ mod tests {
         assert!(info.contains("zscore std"), "info: {info}");
 
         // A subcommand other than `info` is rejected.
-        let mut buf = Vec::new();
-        let err = run(&args(&["checkpoint", "frobnicate"]), &mut buf).unwrap_err();
-        assert!(err.to_string().contains("checkpoint info"), "{err}");
+        let err = run_err("checkpoint frobnicate", &[]);
+        assert!(err.contains("checkpoint info"), "{err}");
 
-        // Two tenants from the same checkpoint bytes, served sharded.
-        std::fs::copy(&ckpt, models_dir.join("east.ckpt")).unwrap();
-        std::fs::copy(&ckpt, models_dir.join("west.ckpt")).unwrap();
-        let serve_args = args(&[
-            "serve",
-            "--models",
-            models_dir.to_str().unwrap(),
-            "--shards",
-            "2",
-            "--addr",
-            "127.0.0.1:0",
-            "--addr-file",
-            addr_file.to_str().unwrap(),
-            "--workers",
-            "2",
-        ]);
-        let server = std::thread::spawn(move || {
-            let mut buf = Vec::new();
-            run(&serve_args, &mut buf).unwrap();
-            String::from_utf8(buf).unwrap()
-        });
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        let addr = loop {
-            if let Ok(text) = std::fs::read_to_string(&addr_file) {
-                let text = text.trim().to_string();
-                if !text.is_empty() {
-                    break text;
-                }
-            }
-            assert!(std::time::Instant::now() < deadline, "server never bound");
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        };
+        // Four tenants alternating between the two checkpoints, on both
+        // of two shards.
+        let tenants = ["t0", "t1", "t2", "t3"];
+        let mut oracles = Vec::new();
+        for (i, tenant) in tenants.iter().enumerate() {
+            std::fs::copy(&ckpts[i % 2], models_dir.join(format!("{tenant}.ckpt"))).unwrap();
+            oracles.push(oracle(&ckpts[i % 2]));
+        }
+        for shard in 0..2 {
+            assert!(
+                tenants.iter().any(|t| st_serve::shard_of(t, 2) == shard),
+                "no tenant routes to shard {shard}"
+            );
+        }
+        let addr_file = dir.join("addr.txt");
+        let serve = argv(
+            "serve --shards 2 --addr 127.0.0.1:0 --workers 2",
+            &[("models", &models_dir), ("addr-file", &addr_file)],
+        );
+        let (addr, server) = start_server(serve, &addr_file);
 
-        let mut client =
-            st_serve::HttpClient::connect(&addr, std::time::Duration::from_secs(10)).unwrap();
+        let mut client = connect(&addr);
         let listing = client.get_ok("/admin/tenants").unwrap();
-        assert!(listing.starts_with("shards 2 models 2"), "{listing}");
-        for tenant in ["east", "west"] {
+        assert!(listing.starts_with("shards 2 models 4"), "{listing}");
+        for (i, (tenant, oracle)) in tenants.iter().zip(&mut oracles).enumerate() {
             let expected = format!("tenant {tenant} shard {}", st_serve::shard_of(tenant, 2));
             assert!(listing.contains(&expected), "{listing}");
             let health = client.get_ok(&format!("/healthz?tenant={tenant}")).unwrap();
             assert!(health.contains("nodes 4"), "health: {health}");
+            let route = format!("/observe?tenant={tenant}");
+            fill_window(&mut client, &route, oracle, &data[i % 2]);
         }
+        let expected: Vec<Vec<Matrix>> =
+            oracles.iter_mut().map(|o| o.forecast().unwrap()).collect();
+        assert_ne!(expected[0], expected[1], "the two checkpoints must differ");
+        // An idle keep-alive connection would hold one of the two workers.
+        drop(client);
+
+        // Concurrent forecast traffic; every reply is bit-equal to its
+        // tenant's in-process oracle.
+        std::thread::scope(|scope| {
+            for first in 0..2 {
+                let (addr, tenants, expected) = (&addr, &tenants, &expected);
+                scope.spawn(move || {
+                    let mut client = connect(addr);
+                    for round in 0..12 {
+                        let i = (first + round) % tenants.len();
+                        let text = client
+                            .get_ok(&format!("/forecast?tenant={}", tenants[i]))
+                            .unwrap();
+                        let (_, steps) = wire::parse_steps(&text).unwrap();
+                        assert_eq!(steps, expected[i], "tenant {}", tenants[i]);
+                    }
+                });
+            }
+        });
+
+        // At quiescence the per-shard request counters sum exactly to the
+        // engine total.
+        let mut client = connect(&addr);
+        let metrics = client.get_ok("/metrics").unwrap();
+        let shard_sum: f64 = (0..2)
+            .map(|s| {
+                metric_value(
+                    &metrics,
+                    &format!("st_serve_shard_requests_total{{shard=\"{s}\"}}"),
+                )
+            })
+            .sum();
+        let engine_total = metric_value(&metrics, "st_serve_engine_requests_total");
+        assert!(engine_total > 0.0, "metrics:\n{metrics}");
+        assert_eq!(shard_sum, engine_total, "metrics:\n{metrics}");
+
         client.post_ok("/admin/shutdown", "").unwrap();
         let log = server.join().unwrap();
         assert!(
-            log.contains("listening on") && log.contains("(2 shards, 2 models)"),
+            log.contains("listening on") && log.contains("(2 shards, 4 models)"),
             "log: {log}"
         );
         assert!(log.contains("server stopped"), "log: {log}");
-        assert!(log.contains("tenant east:"), "log: {log}");
-        assert!(log.contains("tenant west:"), "log: {log}");
+        for tenant in tenants {
+            assert!(log.contains(&format!("tenant {tenant}:")), "log: {log}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn serve_rejects_conflicting_model_sources() {
-        let mut buf = Vec::new();
-        let err = run(
-            &args(&["serve", "--checkpoint", "a.ckpt", "--models", "dir"]),
-            &mut buf,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("not both"), "{err}");
+        let err = run_err("serve --checkpoint a.ckpt --models dir", &[]);
+        assert!(err.contains("not both"), "{err}");
     }
 
     #[test]
     fn train_with_trace_writes_valid_chrome_json() {
         let dir = std::env::temp_dir().join("rihgcn-cli-trace");
         std::fs::create_dir_all(&dir).unwrap();
-        let data = dir.join("data.csv");
-        let trace = dir.join("trace.json");
-        let mut buf = Vec::new();
-        run(
-            &args(&[
-                "generate",
-                "--dataset",
-                "pems",
-                "--out",
-                data.to_str().unwrap(),
-                "--nodes",
-                "3",
-                "--days",
-                "1",
-                "--missing-rate",
-                "0.2",
-            ]),
-            &mut buf,
-        )
-        .unwrap();
-
-        let mut buf = Vec::new();
-        run(
-            &args(&[
-                "train",
-                "--data",
-                data.to_str().unwrap(),
-                "--out",
-                dir.join("model.params").to_str().unwrap(),
-                "--epochs",
-                "1",
-                "--gcn-dim",
-                "3",
-                "--lstm-dim",
-                "4",
-                "--graphs",
-                "2",
-                "--history",
-                "4",
-                "--horizon",
-                "2",
-                "--log-format",
-                "json",
-                "--trace",
-                trace.to_str().unwrap(),
-            ]),
-            &mut buf,
-        )
-        .unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let (data, trace) = (dir.join("data.csv"), dir.join("trace.json"));
+        let generate = "generate --dataset pems --nodes 3 --days 1 --missing-rate 0.2";
+        run_ok(generate, &[("out", &data)]);
+        let text = run_ok(
+            "train --epochs 1 --gcn-dim 3 --lstm-dim 4 --graphs 2 --history 4 --horizon 2 \
+             --log-format json",
+            &[
+                ("data", &data),
+                ("out", &dir.join("model.ckpt")),
+                ("trace", &trace),
+            ],
+        );
         assert!(text.contains("wrote trace"), "output: {text}");
 
         let doc = std::fs::read_to_string(&trace).unwrap();
@@ -1090,54 +1125,97 @@ mod tests {
         let dir = std::env::temp_dir().join("rihgcn-cli-logfmt");
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("data.csv");
-        let mut buf = Vec::new();
-        run(
-            &args(&[
-                "generate",
-                "--dataset",
-                "pems",
-                "--out",
-                data.to_str().unwrap(),
-                "--nodes",
-                "3",
-                "--days",
-                "1",
-            ]),
-            &mut buf,
-        )
-        .unwrap();
-        let err = run(
-            &args(&[
-                "train",
-                "--data",
-                data.to_str().unwrap(),
-                "--out",
-                dir.join("m.params").to_str().unwrap(),
-                "--log-format",
-                "yaml",
-            ]),
-            &mut buf,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("--log-format"), "{err}");
+        run_ok(
+            "generate --dataset pems --nodes 3 --days 1",
+            &[("out", &data)],
+        );
+        let paths = [("data", data.as_path()), ("out", &dir.join("m.ckpt"))];
+        let err = run_err("train --log-format yaml", &paths);
+        assert!(err.contains("--log-format"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn commands_reject_flags_they_do_not_read() {
+        for (command, flag) in [
+            ("train --out m.params --checkpoint m.ckpt", "--checkpoint"),
+            ("forecast --model m.ckpt --gcn-dim 3", "--gcn-dim"),
+            ("forecast --model m.ckpt --graphs 2", "--graphs"),
+            ("generate --out x.csv --node 3", "--node"),
+            ("serve --checkpoint m.ckpt --thread 2", "--thread"),
+            ("help --verbose true", "--verbose"),
+        ] {
+            let err = run_err(command, &[]);
+            let name = command.split(' ').next().unwrap();
+            assert!(
+                err.contains(&format!("unknown flag {flag} for `{name}`")),
+                "{err}"
+            );
+        }
+        // A global flag stays accepted by every command.
+        assert!(run_ok("help --threads 0", &[]).contains("USAGE"));
+    }
+
+    #[test]
+    fn forecast_rejects_a_dataset_the_checkpoint_was_not_built_for() {
+        let dir = std::env::temp_dir().join("rihgcn-cli-forecast-mismatch");
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("data.csv");
+        run_ok("generate --nodes 4 --days 1", &[("out", &data)]);
+        let d = load_dataset(&Options::parse(&argv("", &[("data", &data)])).unwrap())
+            .unwrap()
+            .num_features();
+        // Checkpoints of models built for 3 nodes, and for 4 nodes over
+        // 15-minute slots where the CSV has 5-minute ones.
+        for (nodes, slots, message) in [(3, 288, "nodes"), (4, 96, "time-of-day slots")] {
+            let geo = Matrix::from_fn(nodes, nodes, |r, c| f64::from(r != c));
+            let cfg = RihgcnConfig {
+                gcn_dim: 2,
+                lstm_dim: 3,
+                num_temporal_graphs: 1,
+                history: 4,
+                horizon: 2,
+                ..Default::default()
+            };
+            let interval = st_graph::Interval::new(0, slots);
+            let model = RihgcnModel::from_parts(cfg, d, geo.clone(), vec![(interval, geo)], slots);
+            let z = st_data::ZScore::from_parts(vec![0.0; d], vec![1.0; d]);
+            let ckpt = dir.join(format!("{nodes}-{slots}.ckpt"));
+            save_checkpoint(&model, &z, File::create(&ckpt).unwrap()).unwrap();
+            let err = run_err("forecast", &[("data", &data), ("model", &ckpt)]);
+            assert!(err.contains(message), "{err}");
+            assert!(err.contains("checkpoint expects"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn serve_requires_a_checkpoint() {
-        let mut buf = Vec::new();
-        let err = run(&args(&["serve"]), &mut buf).unwrap_err();
-        assert!(err.to_string().contains("--checkpoint"));
+        assert!(run_err("serve", &[]).contains("--checkpoint"));
     }
 
     #[test]
     fn generate_rejects_unknown_dataset() {
-        let mut buf = Vec::new();
-        let err = run(
-            &args(&["generate", "--dataset", "nope", "--out", "/tmp/x.csv"]),
-            &mut buf,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("unknown dataset"));
+        let err = run_err("generate --dataset nope --out /tmp/x.csv", &[]);
+        assert!(err.contains("unknown dataset"));
+    }
+
+    #[test]
+    fn generate_rejects_empty_sizes_and_out_of_range_missing_rates() {
+        let out = std::env::temp_dir().join("rihgcn-cli-never-written.csv");
+        for (flag, value, message) in [
+            ("--missing-rate", "1.5", "--missing-rate"),
+            ("--missing-rate", "-0.1", "--missing-rate"),
+            ("--missing-rate", "NaN", "--missing-rate"),
+            ("--nodes", "0", "at least 1"),
+            ("--days", "0", "at least 1"),
+        ] {
+            for dataset in ["pems", "stampede"] {
+                let command = format!("generate --dataset {dataset} {flag} {value}");
+                let err = run_err(&command, &[("out", &out)]);
+                assert!(err.contains(message), "{flag} {value}: {err}");
+                assert!(!out.exists(), "{flag} {value} wrote a file");
+            }
+        }
     }
 }

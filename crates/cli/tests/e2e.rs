@@ -1,5 +1,5 @@
 //! End-to-end test of the `rihgcn` binary: generate → inspect → impute →
-//! train → forecast, chained through real files.
+//! train → checkpoint → forecast, chained through real files.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -18,7 +18,7 @@ fn tmp(name: &str) -> PathBuf {
 fn full_cli_workflow() {
     let data = tmp("data.csv");
     let filled = tmp("filled.csv");
-    let model = tmp("model.params");
+    let model = tmp("model.ckpt");
 
     // generate
     let out = bin()
@@ -107,7 +107,7 @@ fn full_cli_workflow() {
     );
     assert!(model.exists());
 
-    // forecast with the saved parameters
+    // forecast from the checkpoint, which carries the architecture
     let out = bin()
         .args([
             "forecast",
@@ -115,14 +115,6 @@ fn full_cli_workflow() {
             data.to_str().unwrap(),
             "--model",
             model.to_str().unwrap(),
-            "--graphs",
-            "2",
-            "--gcn-dim",
-            "3",
-            "--lstm-dim",
-            "4",
-            "--horizon",
-            "3",
         ])
         .output()
         .expect("run forecast");

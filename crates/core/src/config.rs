@@ -155,21 +155,35 @@ impl RihgcnConfig {
     /// Panics if any dimension is zero or `λ`, `τ` are non-positive where
     /// positivity is required.
     pub fn validate(&self) {
-        assert!(self.gcn_dim > 0, "gcn_dim must be positive");
-        assert!(self.lstm_dim > 0, "lstm_dim must be positive");
-        assert!(self.cheb_k > 0, "cheb_k must be positive");
-        assert!(self.history > 0, "history must be positive");
-        assert!(self.horizon > 0, "horizon must be positive");
-        assert!(self.lambda >= 0.0, "lambda must be non-negative");
-        assert!(
-            self.consistency_weight >= 0.0,
-            "consistency weight must be non-negative"
-        );
-        assert!(self.tau > 0.0, "tau must be positive");
-        assert!(
-            (0.0..=1.0).contains(&self.epsilon),
-            "epsilon must be in [0, 1]"
-        );
+        if let Err(msg) = self.check() {
+            panic!("{msg}");
+        }
+    }
+
+    /// [`RihgcnConfig::validate`] as a `Result`, for configs read from
+    /// untrusted input (checkpoint files) that must fail without a panic.
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        let rules = [
+            (self.gcn_dim > 0, "gcn_dim must be positive"),
+            (self.lstm_dim > 0, "lstm_dim must be positive"),
+            (self.cheb_k > 0, "cheb_k must be positive"),
+            (self.history > 0, "history must be positive"),
+            (self.horizon > 0, "horizon must be positive"),
+            (self.lambda >= 0.0, "lambda must be non-negative"),
+            (
+                self.consistency_weight >= 0.0,
+                "consistency weight must be non-negative",
+            ),
+            (self.tau > 0.0, "tau must be positive"),
+            (
+                (0.0..=1.0).contains(&self.epsilon),
+                "epsilon must be in [0, 1]",
+            ),
+        ];
+        match rules.iter().find(|(ok, _)| !ok) {
+            Some(&(_, msg)) => Err(msg),
+            None => Ok(()),
+        }
     }
 }
 

@@ -49,7 +49,7 @@ pub use config::{PredictionHead, RihgcnConfig, TrainConfig};
 pub use model::{BatchedWindow, RihgcnModel, SampleOutput};
 pub use observe::{EpochStats, JsonlObserver, NullObserver, StderrPretty, TrainObserver};
 pub use online::{OnlineForecaster, PushError, WindowSnapshot};
-pub use persist::{load_checkpoint, load_params, save_checkpoint, save_params, PersistError};
+pub use persist::{load_checkpoint, save_checkpoint, PersistError};
 pub use trainer::{
     evaluate_imputation, evaluate_prediction, fit, fit_with_observer, prepare_split, Forecaster,
     Imputer, TrainReport,

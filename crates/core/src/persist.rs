@@ -1,21 +1,11 @@
-//! Plain-text persistence for trained models.
+//! Plain-text persistence for trained models: the self-contained
+//! **checkpoint v2**, the one persisted model format.
 //!
-//! Two deliberately simple, dependency-free formats:
-//!
-//! **v1 — parameters only.** One header line per parameter followed by its
-//! row-major values; loading requires a model rebuilt from the original
-//! dataset (the graphs are not stored):
-//!
-//! ```text
-//! rihgcn-params v1
-//! param <name> <rows> <cols>
-//! <v> <v> ...
-//! ```
-//!
-//! **v2 — self-contained checkpoint.** Bundles everything needed to rebuild
-//! and run the model standalone — the [`RihgcnConfig`], the fitted
-//! [`ZScore`] statistics, the geographic and temporal graphs with their
-//! intervals, and (as an embedded v1 section) the parameters:
+//! A checkpoint bundles everything needed to rebuild and run the model
+//! standalone — the [`RihgcnConfig`], the fitted [`ZScore`] statistics, the
+//! geographic and temporal graphs with their intervals, and the parameters
+//! as an embedded `rihgcn-params v1` section (one header line per
+//! parameter followed by its row-major values):
 //!
 //! ```text
 //! rihgcn-checkpoint v2
@@ -29,12 +19,13 @@
 //! interval <start> <end> <N> <N>    (M times)
 //! <N*N values>
 //! rihgcn-params v1
-//! ...
+//! param <name> <rows> <cols>
+//! <v> <v> ...
 //! ```
 //!
 //! Floats are written with Rust's shortest-round-trip (`{:?}`) formatting,
-//! so both formats reload **bit-identically**. v1 files remain loadable via
-//! [`load_params`].
+//! so a checkpoint reloads **bit-identically**. A standalone params-only
+//! file (an embedded section on its own) is rejected with a typed error.
 
 use crate::{PredictionHead, RihgcnConfig, RihgcnModel};
 use st_data::ZScore;
@@ -89,13 +80,18 @@ impl From<std::io::Error> for PersistError {
 const HEADER: &str = "rihgcn-params v1";
 const CKPT_HEADER: &str = "rihgcn-checkpoint v2";
 
-/// Writes every parameter of the store.
+/// Most scalars a loaded checkpoint may make the process hold: 2^27, or
+/// 1 GiB of `f64`. A paper-scale model (N = 207, 64 GCN filters, 128 LSTM
+/// units) holds about a million, so the bound only turns a corrupt
+/// dimension into an error before the model is built, where it would
+/// otherwise ask for memory it cannot have.
+const MAX_LOADED_SCALARS: f64 = (1u64 << 27) as f64;
+
+/// Writes every parameter of the store as the embedded parameter section.
 ///
-/// # Errors
-///
-/// Returns [`PersistError::NonFinite`] if any parameter holds a NaN or
-/// infinity, and any underlying I/O error.
-pub fn save_params<W: Write>(store: &ParamStore, mut w: W) -> Result<(), PersistError> {
+/// Fails with [`PersistError::NonFinite`] if any parameter holds a NaN or
+/// infinity, and on any underlying I/O error.
+fn save_params<W: Write>(store: &ParamStore, mut w: W) -> Result<(), PersistError> {
     writeln!(w, "{HEADER}")?;
     for id in store.ids() {
         let m = store.value(id);
@@ -118,15 +114,14 @@ pub fn save_params<W: Write>(store: &ParamStore, mut w: W) -> Result<(), Persist
     Ok(())
 }
 
-/// Loads parameters into an existing store; names, shapes and order must
-/// match exactly (i.e. the model must be built with the same configuration).
+/// Loads the embedded parameter section into an existing store; names,
+/// shapes and order must match exactly (i.e. the model must be built with
+/// the same configuration).
 ///
-/// # Errors
-///
-/// Returns [`PersistError::Format`] for malformed input and
-/// [`PersistError::Mismatch`] when the stored parameters do not line up with
-/// the model's.
-pub fn load_params<R: BufRead>(store: &mut ParamStore, r: R) -> Result<(), PersistError> {
+/// Fails with [`PersistError::Format`] for malformed input and
+/// [`PersistError::Mismatch`] when the stored parameters do not line up
+/// with the model's.
+fn load_params<R: BufRead>(store: &mut ParamStore, r: R) -> Result<(), PersistError> {
     let mut lines = r.lines();
     let header = lines
         .next()
@@ -395,11 +390,51 @@ fn read_matrix<'a>(
     let data = lines
         .next()
         .ok_or_else(|| PersistError::Format(format!("{what}: missing data line")))?;
-    Ok(Matrix::from_vec(
-        rows,
-        cols,
-        parse_floats(data, rows * cols, what)?,
-    ))
+    let len = rows
+        .checked_mul(cols)
+        .ok_or_else(|| PersistError::Format(format!("{what}: {rows}x{cols} overflows")))?;
+    Ok(Matrix::from_vec(rows, cols, parse_floats(data, len, what)?))
+}
+
+/// Scalar parameters [`RihgcnModel::from_parts`] allocates for `cfg` over
+/// `features` input features: the model's
+/// [`num_parameters`](RihgcnModel::num_parameters), computed in `f64` so
+/// that a hostile dimension saturates instead of overflowing.
+fn parameter_count(cfg: &RihgcnConfig, features: usize) -> f64 {
+    let [d, g, q, k, m, t, h] = [
+        features,
+        cfg.gcn_dim,
+        cfg.lstm_dim,
+        cfg.cheb_k,
+        cfg.num_temporal_graphs,
+        cfg.history,
+        cfg.horizon,
+    ]
+    .map(|v| v as f64);
+    let dirs = if cfg.bidirectional { 2.0 } else { 1.0 };
+    // One Chebyshev GCN (K weights and a bias) per graph, plus the
+    // temporal branch's gate; the temporal branch doubles the width p.
+    let (gate, p) = if m > 0.0 { (1.0, 2.0 * g) } else { (0.0, g) };
+    let gcns = (m + 1.0) * (k * d * g + g) + gate;
+    // Per direction: the LSTM's input and recurrent weights and bias, and
+    // the estimation head.
+    let cells = dirs * (4.0 * q * (p + d + q + 1.0) + (p + q + 1.0) * d);
+    let (head_in, attention) = match cfg.head {
+        PredictionHead::Concat => (t * dirs * (p + q), 0.0),
+        PredictionHead::Attention => (dirs * (p + q), dirs * (p + q)),
+    };
+    gcns + cells + attention + (head_in + 1.0) * d * h
+}
+
+/// Scalars a checkpoint with this config and meta line makes the process
+/// hold: the rebuilt model's parameters, the K-term Chebyshev bases of its
+/// 1 + M graphs and its slot weight cache, plus the history window (values
+/// and masks) of the [`OnlineForecaster`](crate::OnlineForecaster) that
+/// serves it.
+fn loaded_scalars(cfg: &RihgcnConfig, nodes: usize, features: usize, slots_per_day: usize) -> f64 {
+    let [n, d, slots] = [nodes, features, slots_per_day].map(|v| v as f64);
+    let [k, m, t] = [cfg.cheb_k, cfg.num_temporal_graphs, cfg.history].map(|v| v as f64);
+    parameter_count(cfg, features) + (m + 1.0) * k * n * n + m * slots + 2.0 * t * n * d
 }
 
 /// Loads a **self-contained v2 checkpoint** written by [`save_checkpoint`],
@@ -409,10 +444,12 @@ fn read_matrix<'a>(
 /// # Errors
 ///
 /// Returns [`PersistError::Format`] for malformed or truncated input (a v1
-/// params file is reported with a pointer to [`load_params`]),
-/// [`PersistError::NonFinite`] for NaN/infinite stored values, and
-/// [`PersistError::Mismatch`] when the embedded parameter section does not
-/// line up with the rebuilt model.
+/// params-only file is reported as such) and for a config that fails
+/// [`RihgcnConfig::validate`] or describes a model of more than 2^27
+/// scalars, [`PersistError::NonFinite`] for NaN/infinite stored values,
+/// and [`PersistError::Mismatch`] when the temporal graph count disagrees
+/// with the config or the embedded parameter section does not line up
+/// with the rebuilt model.
 pub fn load_checkpoint<R: BufRead>(mut r: R) -> Result<(RihgcnModel, ZScore), PersistError> {
     let mut text = String::new();
     r.read_to_string(&mut text)?;
@@ -421,8 +458,8 @@ pub fn load_checkpoint<R: BufRead>(mut r: R) -> Result<(RihgcnModel, ZScore), Pe
         Some(h) if h == CKPT_HEADER => {}
         Some(h) if h == HEADER => {
             return Err(PersistError::Format(
-                "this is a v1 params-only file; load it with load_params into a model \
-                 built from the training dataset"
+                "this is a v1 params-only file, which carries no config, normaliser or \
+                 graphs; retrain with `rihgcn train --out model.ckpt` to write a checkpoint"
                     .into(),
             ))
         }
@@ -464,6 +501,23 @@ pub fn load_checkpoint<R: BufRead>(mut r: R) -> Result<(RihgcnModel, ZScore), Pe
         return Err(PersistError::Format(
             "checkpoint has no config lines".into(),
         ));
+    }
+    cfg.check()
+        .map_err(|msg| PersistError::Format(format!("config: {msg}")))?;
+    // A dataset's slots_per_day is 24·60 / interval_minutes, so at most
+    // one slot per minute; the bound also caps the per-slot weight cache.
+    if nodes == 0 || features == 0 || !(1..=24 * 60).contains(&slots_per_day) {
+        return Err(PersistError::Format(format!(
+            "meta needs nodes and features > 0 and slots_per_day in 1..=1440, \
+             found {nodes}, {features} and {slots_per_day}"
+        )));
+    }
+    let scalars = loaded_scalars(&cfg, nodes, features, slots_per_day);
+    if scalars > MAX_LOADED_SCALARS {
+        return Err(PersistError::Format(format!(
+            "config and meta describe a model of {scalars:.3e} scalars, \
+             over the loader's limit of {MAX_LOADED_SCALARS:.3e}"
+        )));
     }
 
     let mean_line = lines
@@ -516,6 +570,12 @@ pub fn load_checkpoint<R: BufRead>(mut r: R) -> Result<(RihgcnModel, ZScore), Pe
         .trim()
         .parse()
         .map_err(|e| PersistError::Format(format!("temporal count: {e}")))?;
+    if m != cfg.num_temporal_graphs {
+        return Err(PersistError::Mismatch(format!(
+            "checkpoint has {m} temporal graphs but config says {}",
+            cfg.num_temporal_graphs
+        )));
+    }
     let mut temporal_graphs = Vec::with_capacity(m);
     for i in 0..m {
         let header = lines
@@ -544,12 +604,6 @@ pub fn load_checkpoint<R: BufRead>(mut r: R) -> Result<(RihgcnModel, ZScore), Pe
         }
         let adj = read_matrix(&mut lines, nodes, nodes, &format!("temporal adjacency {i}"))?;
         temporal_graphs.push((Interval::new(start, end), adj));
-    }
-    if m != cfg.num_temporal_graphs {
-        return Err(PersistError::Mismatch(format!(
-            "checkpoint has {m} temporal graphs but config says {}",
-            cfg.num_temporal_graphs
-        )));
     }
 
     // The remainder of the file is an embedded v1 parameter section.
@@ -756,7 +810,8 @@ mod tests {
             save_params(model.params(), &mut buf).unwrap();
             let err = load_checkpoint(buf.as_slice()).unwrap_err();
             assert!(matches!(err, PersistError::Format(_)));
-            assert!(err.to_string().contains("load_params"), "{err}");
+            assert!(err.to_string().contains("v1 params-only"), "{err}");
+            assert!(err.to_string().contains("rihgcn train"), "{err}");
         }
 
         #[test]
@@ -790,6 +845,115 @@ mod tests {
             ));
             let nan_z = text.replacen("zscore_std ", "zscore_std NaN ", 1);
             assert!(load_checkpoint(nan_z.as_bytes()).is_err());
+            // Each edit once panicked or asked for memory it could not have:
+            // a graph count sized the allocation before it was checked, a
+            // zero dimension tripped `RihgcnConfig::validate` inside the
+            // model build, a huge one sized the model, and a huge node
+            // count (with the geo line to match) overflowed the matrix size.
+            let meta = text.lines().find(|l| l.starts_with("meta ")).unwrap();
+            let huge_meta = meta.replacen("nodes 4 ", "nodes 4294967296 ", 1);
+            let huge_geo = "geo 4294967296 4294967296";
+            for edits in [
+                &[("temporal 2", "temporal 18446744073709551615")][..],
+                &[("config cheb_k 2", "config cheb_k 0")],
+                &[("config history 4", "config history 0")],
+                &[("config gcn_dim 3", "config gcn_dim 0")],
+                &[("config gcn_dim 3", "config gcn_dim 4294967296")],
+                &[("config history 4", "config history 4294967296")],
+                &[(meta, huge_meta.as_str()), ("geo 4 4", huge_geo)],
+            ] {
+                let mut edited = text.clone();
+                for (line, hostile) in edits {
+                    assert!(edited.contains(line), "{line:?} not in checkpoint");
+                    edited = edited.replacen(line, hostile, 1);
+                }
+                let err = load_checkpoint(edited.as_bytes()).unwrap_err();
+                assert!(
+                    matches!(err, PersistError::Format(_) | PersistError::Mismatch(_)),
+                    "{edits:?}: {err}"
+                );
+            }
+        }
+
+        #[test]
+        fn parameter_count_matches_the_built_model() {
+            let geo = Matrix::from_fn(3, 3, |r, c| f64::from(r != c));
+            for (graphs, bidirectional, head) in [
+                (2, true, PredictionHead::Concat),
+                (0, true, PredictionHead::Attention),
+                (3, false, PredictionHead::Attention),
+                (1, false, PredictionHead::Concat),
+            ] {
+                let cfg = RihgcnConfig {
+                    gcn_dim: 3,
+                    lstm_dim: 5,
+                    cheb_k: 2,
+                    num_temporal_graphs: graphs,
+                    history: 4,
+                    horizon: 2,
+                    bidirectional,
+                    head,
+                    ..Default::default()
+                };
+                let temporal = (0..graphs)
+                    .map(|i| (Interval::new(i * 8, i * 8 + 8), geo.clone()))
+                    .collect();
+                let model = RihgcnModel::from_parts(cfg.clone(), 2, geo.clone(), temporal, 24);
+                assert_eq!(
+                    parameter_count(&cfg, 2),
+                    model.num_parameters() as f64,
+                    "{cfg:?}"
+                );
+            }
+        }
+
+        #[test]
+        fn every_mutated_header_number_is_an_error_or_a_model_never_a_panic() {
+            let (_, _, _, text) = checkpoint_text();
+            let lines: Vec<&str> = text.lines().collect();
+            let params_at = lines.iter().position(|l| *l == HEADER).unwrap();
+            let mut panics = Vec::new();
+            let mut tried = 0;
+            // Every number on a header line (not the matrix data lines).
+            for (i, line) in lines.iter().enumerate().take(params_at) {
+                let tokens: Vec<&str> = line.split_whitespace().collect();
+                if tokens.first().is_some_and(|t| t.parse::<f64>().is_ok()) {
+                    continue;
+                }
+                let values = [
+                    "0",
+                    "1",
+                    "3",
+                    "-1",
+                    "NaN",
+                    "inf",
+                    "1e308",
+                    "4294967296",
+                    "18446744073709551615",
+                ];
+                for j in 1..tokens.len() {
+                    if tokens[j].parse::<f64>().is_err() {
+                        continue;
+                    }
+                    for v in values {
+                        let mut mutated = tokens.clone();
+                        mutated[j] = v;
+                        let mutated = mutated.join(" ");
+                        let mut doc = lines.clone();
+                        doc[i] = &mutated;
+                        let doc = doc.join("\n");
+                        tried += 1;
+                        let loaded = std::panic::catch_unwind(|| {
+                            load_checkpoint(doc.as_bytes()).map(|_| ())
+                        });
+                        if loaded.is_err() {
+                            panics.push(format!("{line:?} with token {j} = {v}"));
+                        }
+                    }
+                }
+            }
+            assert!(tried > 100, "only {tried} mutations");
+            assert!(panics.is_empty(), "load_checkpoint panicked on {panics:#?}");
         }
     }
 }

@@ -554,9 +554,30 @@ impl Metrics {
     }
 }
 
+/// Value of the sample `name` (the family name with its labels, exactly
+/// as [`Metrics::render`] writes them) in a metrics scrape, if present.
+pub fn sample_value(scrape: &str, name: &str) -> Option<f64> {
+    scrape
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sample_value_reads_exact_sample_names() {
+        let m = Metrics::with_shards(2);
+        m.record(Route::Forecast, 50, false);
+        let text = m.render();
+        let forecast = "st_serve_requests_total{route=\"forecast\"}";
+        assert_eq!(sample_value(&text, forecast), Some(1.0));
+        assert_eq!(sample_value(&text, "st_serve_latency_count"), Some(1.0));
+        // A prefix of a longer sample name is not that sample.
+        assert_eq!(sample_value(&text, "st_serve_latency"), None);
+        assert_eq!(sample_value(&text, "st_serve_no_such_metric"), None);
+    }
 
     #[test]
     fn records_routes_errors_and_buckets() {

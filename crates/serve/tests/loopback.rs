@@ -4,6 +4,7 @@
 
 use rihgcn_core::{prepare_split, OnlineForecaster, RihgcnConfig, RihgcnModel};
 use st_data::{generate_pems, PemsConfig, TrafficDataset};
+use st_serve::metrics::sample_value;
 use st_serve::{wire, HttpClient, ServeConfig, Server};
 use st_tensor::rng;
 use std::time::Duration;
@@ -393,15 +394,8 @@ fn concurrent_burst_is_bit_identical_and_batches() {
     // The batch-size histogram is visible on the scrape, cumulative, and
     // agrees with the in-process counters.
     let metrics_text = client.get_ok("/metrics").expect("metrics");
-    let get = |name: &str| -> f64 {
-        metrics_text
-            .lines()
-            .find(|l| l.starts_with(name) && l.as_bytes().get(name.len()) == Some(&b' '))
-            .and_then(|l| l.rsplit_once(' '))
-            .unwrap_or_else(|| panic!("missing metric {name}"))
-            .1
-            .parse()
-            .expect("numeric metric")
+    let get = |name: &str| {
+        sample_value(&metrics_text, name).unwrap_or_else(|| panic!("missing metric {name}"))
     };
     let le_one = get("st_serve_batch_size_bucket{le=\"1\"}");
     let count = get("st_serve_batch_size_count");

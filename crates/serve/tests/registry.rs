@@ -5,6 +5,7 @@
 
 use rihgcn_core::{prepare_split, save_checkpoint, OnlineForecaster, RihgcnConfig, RihgcnModel};
 use st_data::{generate_pems, PemsConfig, TrafficDataset};
+use st_serve::metrics::sample_value;
 use st_serve::{shard_of, wire, HttpClient, ServeConfig, Server};
 use st_tensor::rng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -128,13 +129,8 @@ fn sharded_forecasts_match_single_model_servers_bit_for_bit() {
 
     // Per-shard request counters sum to the aggregate engine counter.
     let metrics = client.get_ok("/metrics").expect("metrics");
-    let value = |name: &str| -> u64 {
-        metrics
-            .lines()
-            .find(|l| l.starts_with(name) && !l.starts_with('#'))
-            .and_then(|l| l.rsplit_once(' '))
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or_else(|| panic!("missing metric {name}: {metrics}"))
+    let value = |name: &str| {
+        sample_value(&metrics, name).unwrap_or_else(|| panic!("missing metric {name}: {metrics}"))
     };
     let per_shard = value("st_serve_shard_requests_total{shard=\"0\"}")
         + value("st_serve_shard_requests_total{shard=\"1\"}");
@@ -362,8 +358,36 @@ fn lru_eviction_and_admin_error_contract_over_http() {
     );
     assert!(metrics.contains("st_serve_models 1"), "metrics: {metrics}");
 
+    // A malformed checkpoint answers 400 and the server keeps serving:
+    // each edit once panicked the loader on the HTTP worker running it, or
+    // (a huge node count with the geo line to match) overflowed a size.
+    let text = std::fs::read_to_string(&path).expect("read checkpoint");
+    let hostile = path.with_extension("hostile.ckpt");
+    let meta = text.lines().find(|l| l.starts_with("meta ")).expect("meta");
+    let huge_meta = meta.replacen("nodes 4 ", "nodes 4294967296 ", 1);
+    for edits in [
+        &[("temporal 2", "temporal 18446744073709551615")][..],
+        &[("config cheb_k 2", "config cheb_k 0")],
+        &[(meta, &huge_meta), ("geo 4 4", "geo 4294967296 4294967296")],
+    ] {
+        let mut edited = text.clone();
+        for (line, edit) in edits {
+            assert!(edited.contains(line), "{line:?} not in checkpoint");
+            edited = edited.replacen(line, edit, 1);
+        }
+        std::fs::write(&hostile, edited).expect("write hostile");
+        let body = wire::format_admin_load("d", hostile.to_str().expect("utf-8 path"));
+        let resp = client
+            .request("POST", "/admin/load", &body)
+            .expect("request");
+        assert_eq!(resp.status, 400, "{edits:?}: {}", resp.body);
+        let health = client.get_ok("/healthz?tenant=a").expect("healthz");
+        assert!(health.starts_with("ok"), "health: {health}");
+    }
+
     let drained = server.shutdown();
     assert_eq!(drained.len(), 1);
     assert_eq!(drained[0].0, "a");
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&hostile);
 }

@@ -1,6 +1,7 @@
-//! Model persistence: train RIHGCN briefly, save the parameters to a file,
-//! rebuild the model from its configuration, load the parameters back and
-//! verify the restored model produces identical forecasts.
+//! Model persistence: train RIHGCN briefly, save a self-contained
+//! checkpoint (parameters, config, normalisation stats and graphs), load it
+//! back without the dataset and verify the restored model produces
+//! identical forecasts.
 //!
 //! Run with:
 //!
@@ -9,12 +10,12 @@
 //! ```
 
 use rihgcn::core::{
-    fit, load_params, prepare_split, save_params, RihgcnConfig, RihgcnModel, TrainConfig,
+    fit, load_checkpoint, prepare_split, save_checkpoint, RihgcnConfig, RihgcnModel, TrainConfig,
 };
 use rihgcn::data::{generate_pems, PemsConfig, WindowSampler};
 use std::error::Error;
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufReader, BufWriter, Write};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let ds = generate_pems(&PemsConfig {
@@ -22,7 +23,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         num_days: 4,
         ..Default::default()
     });
-    let (norm, _z) = prepare_split(&ds.split_chronological());
+    let (norm, z) = prepare_split(&ds.split_chronological());
     let sampler = WindowSampler::new(12, 12, 24);
     let train = sampler.sample(&norm.train);
     let test = sampler.sample(&norm.test);
@@ -33,7 +34,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         num_temporal_graphs: 2,
         ..Default::default()
     };
-    let mut model = RihgcnModel::from_dataset(&norm.train, cfg.clone());
+    let mut model = RihgcnModel::from_dataset(&norm.train, cfg);
     let tc = TrainConfig {
         max_epochs: 3,
         ..Default::default()
@@ -41,18 +42,18 @@ fn main() -> Result<(), Box<dyn Error>> {
     fit(&mut model, &train, &[], &tc);
 
     // Save.
-    let path = std::env::temp_dir().join("rihgcn-example.params");
-    save_params(model.params(), File::create(&path)?)?;
+    let path = std::env::temp_dir().join("rihgcn-example.ckpt");
+    let mut file = BufWriter::new(File::create(&path)?);
+    save_checkpoint(&model, &z, &mut file)?;
+    file.flush()?;
     println!(
-        "saved {} parameters to {}",
+        "saved a checkpoint of {} parameters to {}",
         model.num_parameters(),
         path.display()
     );
 
-    // Rebuild with the same configuration (graphs are deterministic given
-    // the same training data), then load.
-    let mut restored = RihgcnModel::from_dataset(&norm.train, cfg);
-    load_params(restored.params_mut(), BufReader::new(File::open(&path)?))?;
+    // The checkpoint carries the config and graphs: no dataset needed.
+    let (restored, _z) = load_checkpoint(BufReader::new(File::open(&path)?))?;
 
     // Identical forecasts bit-for-bit.
     let original = model.forward(&test[0]);

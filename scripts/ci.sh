@@ -11,89 +11,17 @@ echo "== test (offline) =="
 cargo test -q --offline --workspace
 
 # The parallel kernels promise bit-identical results for any worker count;
-# exercise the ST_NUM_THREADS environment path at both extremes.
+# exercise the ST_NUM_THREADS environment path at both extremes. These
+# passes also run the HTTP service end to end at both thread counts: the
+# CLI tests train a checkpoint, serve it in-process (single and multi-tenant),
+# walk every route and check forecasts bit-equal to an in-process
+# forecaster, and the stbench smoke tests drive the serve-city and
+# serve-fleet load workloads.
 echo "== test (1 worker thread) =="
 ST_NUM_THREADS=1 cargo test -q --offline --workspace
 
 echo "== test (4 worker threads) =="
 ST_NUM_THREADS=4 cargo test -q --offline --workspace
-
-echo "== serve smoke (train a checkpoint, run the HTTP service) =="
-# End-to-end over the real network stack: generate a tiny dataset, train
-# one epoch into a self-contained checkpoint, then — at both thread-count
-# extremes — start the server on an ephemeral port and drive every route
-# with the load generator, which also shuts the server down.
-SERVE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SERVE_DIR"' EXIT
-cargo run -q --release --offline -p rihgcn-cli --bin rihgcn -- \
-    generate --dataset pems --out "$SERVE_DIR/data.csv" \
-    --nodes 4 --days 1 --missing-rate 0.2
-cargo run -q --release --offline -p rihgcn-cli --bin rihgcn -- \
-    train --data "$SERVE_DIR/data.csv" --out "$SERVE_DIR/model.params" \
-    --checkpoint "$SERVE_DIR/model.ckpt" --epochs 1 \
-    --gcn-dim 4 --lstm-dim 6 --graphs 2 --history 4 --horizon 2
-for threads in 1 4; do
-    echo "-- serve smoke (ST_NUM_THREADS=$threads) --"
-    rm -f "$SERVE_DIR/addr.txt"
-    ST_NUM_THREADS=$threads cargo run -q --release --offline \
-        -p rihgcn-cli --bin rihgcn -- \
-        serve --checkpoint "$SERVE_DIR/model.ckpt" \
-        --addr 127.0.0.1:0 --addr-file "$SERVE_DIR/addr.txt" &
-    SERVER_PID=$!
-    for _ in $(seq 1 100); do
-        [ -s "$SERVE_DIR/addr.txt" ] && break
-        kill -0 "$SERVER_PID" 2>/dev/null || { echo "server died"; exit 1; }
-        sleep 0.1
-    done
-    [ -s "$SERVE_DIR/addr.txt" ] || { echo "server never bound"; exit 1; }
-    ST_NUM_THREADS=$threads cargo run -q --release --offline \
-        -p rihgcn-bench --bin loadgen -- \
-        --addr "$(cat "$SERVE_DIR/addr.txt")" --smoke --shutdown
-    wait "$SERVER_PID"
-done
-
-echo "== multi-tenant serve (2 shards, 8 tenants, zipf load) =="
-# A second checkpoint trained on differently-seeded data gives the
-# registry two distinct models; eight tenant files alternate between the
-# two. loadgen discovers the tenants over /admin/tenants, drives
-# zipf-distributed traffic from every client thread, reports per-shard
-# p50/p99 plus aggregate throughput, and fails unless the per-shard
-# request counters scraped from /metrics sum to the engine total.
-cargo run -q --release --offline -p rihgcn-cli --bin rihgcn -- \
-    generate --dataset pems --out "$SERVE_DIR/data2.csv" \
-    --nodes 4 --days 1 --missing-rate 0.2 --seed 9
-cargo run -q --release --offline -p rihgcn-cli --bin rihgcn -- \
-    train --data "$SERVE_DIR/data2.csv" --out "$SERVE_DIR/model2.params" \
-    --checkpoint "$SERVE_DIR/model2.ckpt" --epochs 1 \
-    --gcn-dim 4 --lstm-dim 6 --graphs 2 --history 4 --horizon 2
-cargo run -q --release --offline -p rihgcn-cli --bin rihgcn -- \
-    checkpoint info --file "$SERVE_DIR/model2.ckpt"
-mkdir -p "$SERVE_DIR/models"
-for i in 0 1 2 3 4 5 6 7; do
-    src="$SERVE_DIR/model.ckpt"
-    [ $((i % 2)) -eq 1 ] && src="$SERVE_DIR/model2.ckpt"
-    cp "$src" "$SERVE_DIR/models/t$i.ckpt"
-done
-for threads in 1 4; do
-    echo "-- multi-tenant load (ST_NUM_THREADS=$threads) --"
-    rm -f "$SERVE_DIR/addr.txt"
-    ST_NUM_THREADS=$threads cargo run -q --release --offline \
-        -p rihgcn-cli --bin rihgcn -- \
-        serve --models "$SERVE_DIR/models" --shards 2 \
-        --addr 127.0.0.1:0 --addr-file "$SERVE_DIR/addr.txt" &
-    SERVER_PID=$!
-    for _ in $(seq 1 100); do
-        [ -s "$SERVE_DIR/addr.txt" ] && break
-        kill -0 "$SERVER_PID" 2>/dev/null || { echo "server died"; exit 1; }
-        sleep 0.1
-    done
-    [ -s "$SERVE_DIR/addr.txt" ] || { echo "server never bound"; exit 1; }
-    ST_NUM_THREADS=$threads cargo run -q --release --offline \
-        -p rihgcn-bench --bin loadgen -- \
-        --addr "$(cat "$SERVE_DIR/addr.txt")" \
-        --tenants 8 --zipf 1.1 --requests 50 --shutdown
-    wait "$SERVER_PID"
-done
 
 echo "== determinism under tracing (ST_OBS=1) =="
 # Spans must never change a bit: the determinism suites have to pass with
@@ -111,13 +39,18 @@ echo "== traced training run (Chrome trace export) =="
 # the parallel threshold), so the ring must be large enough that a full
 # epoch doesn't overwrite them: the run emits ~26k spans, ST_OBS_RING
 # keeps 64k.
+TRACE_DIR="$(mktemp -d)"
+trap 'rm -rf "$TRACE_DIR"' EXIT
+cargo run -q --release --offline -p rihgcn-cli --bin rihgcn -- \
+    generate --dataset pems --out "$TRACE_DIR/data.csv" \
+    --nodes 4 --days 1 --missing-rate 0.2
 ST_NUM_THREADS=1 ST_OBS_RING=65536 \
     cargo run -q --release --offline -p rihgcn-cli --bin rihgcn -- \
-    train --data "$SERVE_DIR/data.csv" --out "$SERVE_DIR/traced.params" \
+    train --data "$TRACE_DIR/data.csv" --out "$TRACE_DIR/traced.ckpt" \
     --epochs 1 --gcn-dim 4 --lstm-dim 6 --graphs 2 --history 4 --horizon 2 \
-    --trace "$SERVE_DIR/trace.json" --log-format json
+    --trace "$TRACE_DIR/trace.json" --log-format json
 cargo run -q --release --offline -p rihgcn-bench --bin trace_check -- \
-    "$SERVE_DIR/trace.json" \
+    "$TRACE_DIR/trace.json" \
     --require tensor. --require autodiff. --require par. \
     --require core. --require nn.
 
@@ -181,16 +114,15 @@ for threads in 1 4; do
 done
 
 echo "== batched-forecast bench (>=2x RPS on a saturated queue) =="
-# loadgen --bench-batch saturates a single-shard in-process engine with
+# bench_batch saturates a single-shard in-process engine with 640
 # observe -> forecast pairs at max_batch 1 and 16 (best of three runs
 # each), checks the per-shard metrics consistency gate, and exits
 # non-zero unless batching delivers at least 2x the unbatched forecast
 # throughput. The last run's report is kept as BENCH_batch.json.
 for threads in 1 4; do
-    echo "-- bench-batch (ST_NUM_THREADS=$threads) --"
+    echo "-- bench_batch (ST_NUM_THREADS=$threads) --"
     ST_NUM_THREADS=$threads cargo run -q --release --offline \
-        -p rihgcn-bench --bin loadgen -- \
-        --bench-batch --threads 16 --requests 40 --out BENCH_batch.json
+        -p rihgcn-bench --bin bench_batch -- --out BENCH_batch.json
 done
 test -s BENCH_batch.json || { echo "BENCH_batch.json missing"; exit 1; }
 grep -q '"speedup"' BENCH_batch.json || {

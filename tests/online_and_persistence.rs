@@ -1,9 +1,9 @@
-//! Integration: streaming inference and parameter persistence through the
+//! Integration: streaming inference and checkpoint persistence through the
 //! public facade.
 
 use rihgcn::core::{
-    fit, load_params, prepare_split, save_params, OnlineForecaster, RihgcnConfig, RihgcnModel,
-    TrainConfig,
+    fit, load_checkpoint, prepare_split, save_checkpoint, OnlineForecaster, RihgcnConfig,
+    RihgcnModel, TrainConfig,
 };
 use rihgcn::data::{generate_pems, PemsConfig, WindowSampler};
 use rihgcn::tensor::rng;
@@ -28,7 +28,7 @@ fn save_load_reproduces_forecasts_exactly() {
         ..Default::default()
     });
     let ds = ds.with_extra_missing(0.3, &mut rng(1));
-    let (norm, _z) = prepare_split(&ds.split_chronological());
+    let (norm, z) = prepare_split(&ds.split_chronological());
     let sampler = WindowSampler::new(4, 2, 24);
     let train = sampler.sample(&norm.train);
     let test = sampler.sample(&norm.test);
@@ -42,10 +42,11 @@ fn save_load_reproduces_forecasts_exactly() {
     fit(&mut model, &train, &[], &tc);
 
     let mut buffer = Vec::new();
-    save_params(model.params(), &mut buffer).unwrap();
+    save_checkpoint(&model, &z, &mut buffer).unwrap();
 
-    let mut restored = RihgcnModel::from_dataset(&norm.train, tiny_cfg());
-    load_params(restored.params_mut(), buffer.as_slice()).unwrap();
+    // The checkpoint rebuilds the model without the dataset.
+    let (restored, restored_z) = load_checkpoint(buffer.as_slice()).unwrap();
+    assert_eq!(restored_z, z, "normaliser must round-trip exactly");
 
     let a = model.forward(&test[0]);
     let b = restored.forward(&test[0]);
