@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod check;
-mod dot;
 mod tape;
 
 pub use check::{check_gradient, GradCheck};

@@ -1057,50 +1057,6 @@ fn acc_owned(
     }
 }
 
-impl Tape {
-    /// Summary of one node for rendering: label, parent indices, whether it
-    /// is a leaf, and whether gradients flow through it.
-    pub(crate) fn node_summary(&self, idx: usize) -> (String, Vec<usize>, bool, bool) {
-        let node = &self.nodes[idx];
-        let (name, parents): (&str, Vec<usize>) = match &node.op {
-            Op::Leaf => (if node.needs_grad { "param" } else { "const" }, Vec::new()),
-            Op::Add(a, b) => ("add", vec![*a, *b]),
-            Op::Sub(a, b) => ("sub", vec![*a, *b]),
-            Op::Mul(a, b) => ("mul", vec![*a, *b]),
-            Op::Matmul(a, b) => ("matmul", vec![*a, *b]),
-            Op::Scale(a, _) => ("scale", vec![*a]),
-            Op::AddScalar(a) => ("add_scalar", vec![*a]),
-            Op::AddBias { x, bias } => ("add_bias", vec![*x, *bias]),
-            Op::Sigmoid(a) => ("sigmoid", vec![*a]),
-            Op::Tanh(a) => ("tanh", vec![*a]),
-            Op::Relu(a) => ("relu", vec![*a]),
-            Op::Abs(a) => ("abs", vec![*a]),
-            Op::ConcatCols(a, b) => ("concat", vec![*a, *b]),
-            Op::SliceCols { x, .. } => ("slice", vec![*x]),
-            Op::Sum(a) => ("sum", vec![*a]),
-            Op::Mean(a) => ("mean", vec![*a]),
-            Op::SoftmaxRows(a) => ("softmax", vec![*a]),
-            Op::ScaleVar { x, s } => ("scale_var", vec![*x, *s]),
-            Op::ToWide { x, .. } => ("to_wide", vec![*x]),
-            Op::ToStacked { x, .. } => ("to_stacked", vec![*x]),
-            Op::ScaleBlocks { x, s } => ("scale_blocks", vec![*x, *s]),
-            Op::MeanBlocks { x, .. } => ("mean_blocks", vec![*x]),
-            Op::Transpose(a) => ("transpose", vec![*a]),
-            Op::Exp(a) => ("exp", vec![*a]),
-            Op::Ln(a) => ("ln", vec![*a]),
-            Op::Sqrt(a) => ("sqrt", vec![*a]),
-            Op::Div(a, b) => ("div", vec![*a, *b]),
-        };
-        let (r, c) = node.value.shape();
-        (
-            format!("{name} {r}x{c}"),
-            parents,
-            matches!(node.op, Op::Leaf),
-            node.needs_grad,
-        )
-    }
-}
-
 fn sign(x: f64) -> f64 {
     if x > 0.0 {
         1.0

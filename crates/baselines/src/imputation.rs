@@ -274,66 +274,6 @@ pub fn cp_impute(
     out
 }
 
-/// Multivariate Imputation by Chained Equations (MICE), cross-sectional
-/// variant: each node's series is iteratively re-imputed by a ridge
-/// regression on all *other* nodes' (currently filled) values of the same
-/// feature at the same timestamp.
-///
-/// This is the classical iterative-regression imputer the paper's related
-/// work cites (van Buuren's MICE), restricted to deterministic regression
-/// means (no posterior draws) for reproducibility.
-///
-/// # Panics
-///
-/// Panics if shapes differ or `iters == 0`.
-pub fn mice_impute(values: &Tensor3, mask: &Tensor3, iters: usize) -> Tensor3 {
-    assert_eq!(values.shape(), mask.shape(), "values/mask shape mismatch");
-    assert!(iters > 0, "need at least one iteration");
-    let (n, d, t_len) = values.shape();
-    let ridge = 1e-2;
-    // Start from per-series mean fill.
-    let mut filled = self::imputation_support::mean_fill_tensor(values, mask);
-    if n < 2 {
-        return filled;
-    }
-
-    for _ in 0..iters {
-        for f in 0..d {
-            for node in 0..n {
-                // Timestamps where this node is observed form the training
-                // set; the regressors are the other nodes' current values.
-                let observed: Vec<usize> =
-                    (0..t_len).filter(|&t| mask[(node, f, t)] != 0.0).collect();
-                let missing: Vec<usize> =
-                    (0..t_len).filter(|&t| mask[(node, f, t)] == 0.0).collect();
-                if observed.len() < n || missing.is_empty() {
-                    continue;
-                }
-                let design = Matrix::from_fn(observed.len(), n, |r, c| {
-                    if c == 0 {
-                        1.0 // intercept
-                    } else {
-                        let other = if c - 1 >= node { c } else { c - 1 };
-                        filled[(other, f, observed[r])]
-                    }
-                });
-                let rhs = Matrix::from_fn(observed.len(), 1, |r, _| values[(node, f, observed[r])]);
-                if let Ok(w) = linalg::least_squares(&design, &rhs, ridge) {
-                    for &t in &missing {
-                        let mut acc = w[(0, 0)];
-                        for c in 1..n {
-                            let other = if c - 1 >= node { c } else { c - 1 };
-                            acc += w[(c, 0)] * filled[(other, f, t)];
-                        }
-                        filled[(node, f, t)] = acc;
-                    }
-                }
-            }
-        }
-    }
-    filled
-}
-
 #[derive(Clone, Copy)]
 enum Mode {
     Node,
@@ -405,16 +345,6 @@ fn cp_mode_update(
     }
 }
 
-pub(crate) mod imputation_support {
-    //! Small shared helpers for the imputers.
-    use st_tensor::Tensor3;
-
-    /// Per-(node, feature) mean fill over the whole tensor.
-    pub fn mean_fill_tensor(values: &Tensor3, mask: &Tensor3) -> Tensor3 {
-        st_data::mean_fill(values, mask)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,7 +380,6 @@ mod tests {
             knn_impute(&x, &mask, 3),
             matrix_factorization_impute(&x, &mask, 3, 10, 2),
             cp_impute(&x, &mask, 3, 8, 3),
-            mice_impute(&x, &mask, 2),
         ] {
             for i in 0..x.len() {
                 if mask.as_slice()[i] != 0.0 {
@@ -523,36 +452,6 @@ mod tests {
         let last = hidden_error(&x, &last_observed_fill(&x, &mask), &mask);
         let mf = hidden_error(&x, &matrix_factorization_impute(&x, &mask, 2, 15, 9), &mask);
         assert!(mf < last, "MF {mf} should beat Last {last}");
-    }
-
-    #[test]
-    fn mice_exploits_cross_node_structure() {
-        // Node 0 = 2·node1 + 1 exactly; MICE should recover hidden entries
-        // of node 0 from node 1 almost perfectly.
-        let x = Tensor3::from_fn(3, 1, 50, |n, _, t| {
-            let base = (t as f64 * 0.3).sin() * 5.0 + 10.0;
-            match n {
-                0 => 2.0 * base + 1.0,
-                1 => base,
-                _ => (t as f64 * 0.11).cos() * 3.0,
-            }
-        });
-        let mut mask = Tensor3::ones(3, 1, 50);
-        for t in (0..50).step_by(3) {
-            mask[(0, 0, t)] = 0.0;
-        }
-        let filled = mice_impute(&x, &mask, 3);
-        let mae = hidden_error(&x, &filled, &mask);
-        assert!(mae < 0.05, "MICE hidden MAE {mae}");
-    }
-
-    #[test]
-    fn mice_beats_plain_mean_fill() {
-        let x = low_rank_cube();
-        let mask = drop_observed(&Tensor3::ones(6, 2, 60), 0.4, &mut seeded(12));
-        let mean = hidden_error(&x, &st_data::mean_fill(&x, &mask), &mask);
-        let mice = hidden_error(&x, &mice_impute(&x, &mask, 3), &mask);
-        assert!(mice < mean, "MICE {mice} should beat mean fill {mean}");
     }
 
     #[test]

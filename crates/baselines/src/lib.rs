@@ -9,9 +9,8 @@
 //! * reduced comparators [`AstgcnLite`], [`GraphWaveNetLite`] and
 //!   [`DcrnnLite`] / [`StgcnLite`];
 //! * classical imputers — [`last_observed_fill`], [`knn_impute`],
-//!   [`matrix_factorization_impute`], [`cp_impute`] and [`mice_impute`]
-//!   (the paper's Last / KNN / MF / TD rows plus the MICE method its
-//!   related work cites).
+//!   [`matrix_factorization_impute`] and [`cp_impute`] (the paper's
+//!   Last / KNN / MF / TD rows).
 //!
 //! All deep models implement [`rihgcn_core::Forecaster`] and share the
 //! core crate's training loop and evaluation path; non-imputing models
@@ -51,9 +50,7 @@ pub use astgcn::{AstgcnConfig, AstgcnLite};
 pub use dcrnn::{DcrnnConfig, DcrnnLite};
 pub use graph_wavenet::{GraphWaveNetConfig, GraphWaveNetLite};
 pub use ha::HistoricalAverage;
-pub use imputation::{
-    cp_impute, knn_impute, last_observed_fill, matrix_factorization_impute, mice_impute,
-};
+pub use imputation::{cp_impute, knn_impute, last_observed_fill, matrix_factorization_impute};
 pub use stgcn::{StgcnConfig, StgcnLite};
 pub use stmodel::{mean_fill_sample, mean_fill_samples, BaselineConfig, BaselineKind, StBaseline};
 pub use var::VarModel;

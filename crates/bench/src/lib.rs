@@ -249,20 +249,6 @@ impl Method {
         out.push(Method::Rihgcn);
         out
     }
-
-    /// Whether the method has no imputation path and therefore consumes
-    /// mean-filled inputs. Mean fill happens in normalised space where the
-    /// per-feature global mean is 0, so the zero-filled window samples
-    /// already *are* mean-filled — this flag is informational (it marks the
-    /// paper's "fill with the mean of observed values" preprocessing).
-    pub fn uses_mean_fill(&self) -> bool {
-        match self {
-            Method::Ha | Method::Var => false, // handle missingness internally
-            Method::Astgcn | Method::GraphWaveNet | Method::Dcrnn | Method::Stgcn => true,
-            Method::Baseline(kind) => !kind.imputing(),
-            Method::Rihgcn => false,
-        }
-    }
 }
 
 /// Trains (when applicable) and evaluates one method on a prepared bench,
@@ -405,50 +391,6 @@ pub fn evaluate_horizons<M: Forecaster>(
     accs.iter().map(ErrorAccum::summary).collect()
 }
 
-/// Mean and standard deviation of metrics across seeds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeededMetrics {
-    /// Mean MAE across seeds.
-    pub mae_mean: f64,
-    /// Standard deviation of MAE across seeds.
-    pub mae_std: f64,
-    /// Mean RMSE across seeds.
-    pub rmse_mean: f64,
-    /// Standard deviation of RMSE across seeds.
-    pub rmse_std: f64,
-}
-
-/// Runs one method over several dataset/mask seeds and aggregates the
-/// metrics — use for headline claims where run-to-run noise matters.
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty.
-pub fn run_method_seeded(
-    method: Method,
-    scale: &Scale,
-    missing_rate: f64,
-    temporal_graphs: usize,
-    seeds: &[u64],
-) -> SeededMetrics {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let mut maes = Vec::with_capacity(seeds.len());
-    let mut rmses = Vec::with_capacity(seeds.len());
-    for &seed in seeds {
-        let ds = pems_at(scale, missing_rate, seed);
-        let bench = Bench::prepare(&ds, scale, 12, 12);
-        let m = run_method(method, &bench, temporal_graphs);
-        maes.push(m.mae);
-        rmses.push(m.rmse);
-    }
-    SeededMetrics {
-        mae_mean: st_tensor::stats::mean(&maes),
-        mae_std: st_tensor::stats::std_dev(&maes),
-        rmse_mean: st_tensor::stats::mean(&rmses),
-        rmse_std: st_tensor::stats::std_dev(&rmses),
-    }
-}
-
 /// Imputation metrics of a trained RIHGCN on the bench's test windows.
 pub fn rihgcn_imputation(model: &RihgcnModel, bench: &Bench) -> Metrics {
     evaluate_imputation(model, &bench.test, &bench.z)
@@ -506,15 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_fill_flags() {
-        assert!(Method::Astgcn.uses_mean_fill());
-        assert!(Method::Baseline(BaselineKind::FcLstm).uses_mean_fill());
-        assert!(!Method::Baseline(BaselineKind::FcLstmI).uses_mean_fill());
-        assert!(!Method::Rihgcn.uses_mean_fill());
-        assert!(!Method::Ha.uses_mean_fill());
-    }
-
-    #[test]
     fn quick_bench_prepares_windows() {
         let scale = Scale::quick();
         let ds = pems_at(&scale, 0.4, 1);
@@ -533,7 +466,6 @@ mod tests {
         let m = run_method(Method::Dcrnn, &bench, 0);
         assert!(m.mae.is_finite() && m.mae > 0.0);
         assert_eq!(Method::Dcrnn.name(), "DCRNN");
-        assert!(Method::Dcrnn.uses_mean_fill());
         // DCRNN is an extension: not in the paper's roster.
         assert!(!Method::roster().contains(&Method::Dcrnn));
     }
@@ -546,15 +478,6 @@ mod tests {
         let m = run_method(Method::Stgcn, &bench, 0);
         assert!(m.mae.is_finite() && m.mae > 0.0);
         assert!(!Method::roster().contains(&Method::Stgcn));
-    }
-
-    #[test]
-    fn seeded_runner_aggregates() {
-        let scale = Scale::quick();
-        let sm = run_method_seeded(Method::Ha, &scale, 0.3, 0, &[1, 2]);
-        assert!(sm.mae_mean.is_finite() && sm.mae_mean > 0.0);
-        assert!(sm.mae_std >= 0.0);
-        assert!(sm.rmse_mean >= sm.mae_mean);
     }
 
     #[test]

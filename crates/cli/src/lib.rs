@@ -321,24 +321,10 @@ fn cmd_generate(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
 
 fn load_dataset(opts: &Options) -> Result<TrafficDataset, CliError> {
     let path = opts.get("data").ok_or("missing --data <file>")?;
-    // Peek the node count to build a stand-in network, then parse for real.
-    let probe = read_probe_nodes(path)?;
-    let network = RoadNetwork::corridor(probe, 1.2);
+    // A stand-in corridor network, sized from the parsed node count.
+    let network = |nodes| RoadNetwork::corridor(nodes, 1.2);
     let ds = read_csv(BufReader::new(File::open(path)?), "csv-data", network, 5)?;
     Ok(ds)
-}
-
-fn read_probe_nodes(path: &str) -> Result<usize, CliError> {
-    use std::io::BufRead;
-    let mut max_node = 0usize;
-    for line in BufReader::new(File::open(path)?).lines() {
-        let line = line?;
-        let first = line.split(',').next().unwrap_or("");
-        if let Ok(n) = first.trim().parse::<usize>() {
-            max_node = max_node.max(n);
-        }
-    }
-    Ok(max_node + 1)
 }
 
 fn model_config(opts: &Options) -> Result<RihgcnConfig, CliError> {

@@ -138,3 +138,34 @@ fn bad_usage_exits_nonzero() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown command"), "{err}");
 }
+
+#[test]
+fn hostile_csv_files_exit_with_an_error_message() {
+    // Its own directory: `full_cli_workflow` removes the shared one.
+    let dir = std::env::temp_dir().join("rihgcn-e2e-hostile-csv");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, (command, csv)) in [
+        ("train", "0,18446744073709551615,0,1,1\n"),
+        ("inspect", "0,4294967296,4294967296,1,1\n"),
+        ("inspect", "0,9223372036854775808,0,1,1\n0,0,1,1,1\n"),
+        ("inspect", "1099511627776,0,0,1,1\n"),
+        ("train", "0,0,0,1,1\n0,0,1,NaN,1\n"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let data = dir.join(format!("hostile{i}.csv"));
+        std::fs::write(&data, csv).unwrap();
+        let mut cmd = bin();
+        cmd.args([command, "--data", data.to_str().unwrap()]);
+        if command == "train" {
+            cmd.args(["--out", dir.join("never.ckpt").to_str().unwrap()]);
+        }
+        let out = cmd.output().expect("run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{csv:?}: {err}");
+        assert!(err.starts_with("error: "), "{csv:?}: {err}");
+    }
+    assert!(!dir.join("never.ckpt").exists());
+    std::fs::remove_dir_all(dir).ok();
+}

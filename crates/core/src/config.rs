@@ -106,18 +106,6 @@ impl RihgcnConfig {
         self
     }
 
-    /// Sets the forecast horizon `T'`.
-    pub fn with_horizon(mut self, horizon: usize) -> Self {
-        self.horizon = horizon;
-        self
-    }
-
-    /// Sets the history window `T`.
-    pub fn with_history(mut self, history: usize) -> Self {
-        self.history = history;
-        self
-    }
-
     /// Sets the RNG seed for parameter initialisation.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -200,8 +188,6 @@ pub struct TrainConfig {
     pub clip_norm: f64,
     /// Early-stopping patience in epochs (paper: 6).
     pub patience: usize,
-    /// Learning-rate schedule over epochs (paper: constant).
-    pub lr_schedule: st_nn::LrSchedule,
     /// Shuffling seed.
     pub seed: u64,
     /// Print per-epoch progress to stderr.
@@ -220,7 +206,6 @@ impl Default for TrainConfig {
             batch_size: 16,
             clip_norm: 5.0,
             patience: 6,
-            lr_schedule: st_nn::LrSchedule::default(),
             seed: 23,
             verbose: false,
             threads: 0,
@@ -229,12 +214,6 @@ impl Default for TrainConfig {
 }
 
 impl TrainConfig {
-    /// Sets the worker-thread count (`0` = inherit the ambient setting).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics
@@ -265,14 +244,10 @@ mod tests {
         let cfg = RihgcnConfig::default()
             .with_num_temporal_graphs(8)
             .with_lambda(0.5)
-            .with_horizon(3)
-            .with_history(6)
             .with_seed(99)
             .unidirectional();
         assert_eq!(cfg.num_temporal_graphs, 8);
         assert_eq!(cfg.lambda, 0.5);
-        assert_eq!(cfg.horizon, 3);
-        assert_eq!(cfg.history, 6);
         assert_eq!(cfg.seed, 99);
         assert!(!cfg.bidirectional);
     }
@@ -298,8 +273,6 @@ mod tests {
     #[test]
     fn threads_defaults_to_inherit() {
         assert_eq!(TrainConfig::default().threads, 0);
-        assert_eq!(TrainConfig::default().with_threads(4).threads, 4);
-        TrainConfig::default().with_threads(4).validate();
     }
 
     #[test]

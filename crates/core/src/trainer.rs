@@ -118,8 +118,6 @@ pub fn fit_with_observer<M: Forecaster>(
         let _span = st_obs::span!("core.epoch", epoch);
         let epoch_start = Instant::now();
         let allocs_before = AllocSnapshot::take();
-        let lr = tc.lr_schedule.at(tc.learning_rate, epoch);
-        adam.set_learning_rate(lr);
         shuffle_rng.shuffle(&mut order);
         let mut epoch_loss = 0.0;
         let mut batch_count = 0usize;
@@ -159,7 +157,7 @@ pub fn fit_with_observer<M: Forecaster>(
             train_loss,
             val_loss,
             wall_ms: epoch_start.elapsed().as_secs_f64() * 1e3,
-            learning_rate: lr,
+            learning_rate: tc.learning_rate,
             allocations: allocs_before.allocations_since(),
             alloc_bytes: allocs_before.bytes_since(),
             improved: decision == StopDecision::Improved,
@@ -344,33 +342,6 @@ mod tests {
             .zip_map(&split.test.values, |a, b| (a - b).abs())
             .mean();
         assert!(diff < 1e-9);
-    }
-
-    #[test]
-    fn lr_schedule_changes_the_trajectory() {
-        let (_, train, val, _) = tiny_training_setup();
-        let run = |schedule: st_nn::LrSchedule| {
-            let (mut model, ..) = tiny_training_setup();
-            let tc = TrainConfig {
-                max_epochs: 4,
-                batch_size: 4,
-                learning_rate: 3e-3,
-                lr_schedule: schedule,
-                ..Default::default()
-            };
-            fit(&mut model, &train, &val, &tc).train_losses
-        };
-        let constant = run(st_nn::LrSchedule::Constant);
-        let decayed = run(st_nn::LrSchedule::StepDecay {
-            every: 1,
-            factor: 0.1,
-        });
-        assert_eq!(constant[0], decayed[0], "first epoch shares the base rate");
-        assert_ne!(
-            constant.last(),
-            decayed.last(),
-            "aggressive decay must alter later epochs"
-        );
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl TrafficDataset {
         masking::missing_rate(&self.mask)
     }
 
-    /// Values with hidden entries zeroed — the raw model input `X`.
-    pub fn observed_values(&self) -> Tensor3 {
-        self.values.zip_map(&self.mask, |v, m| v * m)
-    }
-
     /// Returns a copy with an additional fraction `rate` of the observed
     /// entries dropped at random (Table-I protocol).
     ///
@@ -131,30 +126,6 @@ impl TrafficDataset {
         Self {
             mask,
             ..self.clone()
-        }
-    }
-
-    /// Restricts the dataset to the given nodes (re-indexed in order) —
-    /// useful for corridor subsets and leave-nodes-out experiments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep` is empty or any index is out of range.
-    pub fn select_nodes(&self, keep: &[usize]) -> Self {
-        assert!(!keep.is_empty(), "must keep at least one node");
-        for &k in keep {
-            assert!(k < self.num_nodes(), "node {k} out of range");
-        }
-        let d = self.num_features();
-        let t = self.num_times();
-        let values = Tensor3::from_fn(keep.len(), d, t, |n, f, tt| self.values[(keep[n], f, tt)]);
-        let mask = Tensor3::from_fn(keep.len(), d, t, |n, f, tt| self.mask[(keep[n], f, tt)]);
-        Self {
-            name: format!("{}-subset", self.name),
-            values,
-            mask,
-            network: self.network.subset(keep),
-            interval_minutes: self.interval_minutes,
         }
     }
 
@@ -220,37 +191,11 @@ mod tests {
     }
 
     #[test]
-    fn observed_values_zeroes_hidden() {
-        let mut ds = toy_dataset(4);
-        ds.mask[(0, 0, 1)] = 0.0;
-        let obs = ds.observed_values();
-        assert_eq!(obs[(0, 0, 1)], 0.0);
-        assert_eq!(obs[(0, 0, 2)], ds.values[(0, 0, 2)]);
-    }
-
-    #[test]
     fn extra_missing_changes_only_mask() {
         let ds = toy_dataset(200);
         let degraded = ds.with_extra_missing(0.5, &mut rng(1));
         assert_eq!(degraded.values, ds.values);
         assert!((degraded.missing_rate() - 0.5).abs() < 0.05);
-    }
-
-    #[test]
-    fn select_nodes_reindexes_everything() {
-        let ds = toy_dataset(10);
-        let sub = ds.select_nodes(&[2, 0]);
-        assert_eq!(sub.num_nodes(), 2);
-        assert_eq!(sub.values[(0, 1, 3)], ds.values[(2, 1, 3)]);
-        assert_eq!(sub.values[(1, 0, 5)], ds.values[(0, 0, 5)]);
-        assert_eq!(sub.network.len(), 2);
-        assert!(sub.name.ends_with("-subset"));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn select_nodes_bounds_checked() {
-        let _ = toy_dataset(5).select_nodes(&[7]);
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod window;
 
 pub use csv::{read_csv, write_csv, CsvError};
 pub use dataset::{DatasetSplit, TrafficDataset};
-pub use masking::{drop_observed, fill_missing, holdout_split, mean_fill, missing_rate};
+pub use masking::{drop_observed, holdout_split, mean_fill, missing_rate};
 pub use normalize::ZScore;
 pub use pems::{generate_pems, PemsConfig, PEMS_FEATURES};
 pub use profiles::DayProfiles;

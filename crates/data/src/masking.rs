@@ -70,15 +70,6 @@ pub fn holdout_split(mask: &Tensor3, holdout_rate: f64, rng: &mut StRng) -> (Ten
     (train, hold)
 }
 
-/// Replaces hidden entries of `values` with `fill`, keeping observed ones.
-///
-/// # Panics
-///
-/// Panics if shapes differ.
-pub fn fill_missing(values: &Tensor3, mask: &Tensor3, fill: f64) -> Tensor3 {
-    values.zip_map(mask, |v, m| if m != 0.0 { v } else { fill })
-}
-
 /// Replaces hidden entries with the per-(node, feature) mean of observed
 /// values — the "mean fill" preprocessing used for all non-imputing
 /// baselines in the paper. Falls back to `0.0` for series with no
@@ -178,16 +169,6 @@ mod tests {
             assert_eq!(train[(0, 0, t)], 0.0);
             assert_eq!(hold[(0, 0, t)], 0.0);
         }
-    }
-
-    #[test]
-    fn fill_missing_respects_mask() {
-        let x = Tensor3::filled(1, 1, 3, 5.0);
-        let mut mask = Tensor3::ones(1, 1, 3);
-        mask[(0, 0, 1)] = 0.0;
-        let filled = fill_missing(&x, &mask, -1.0);
-        assert_eq!(filled[(0, 0, 0)], 5.0);
-        assert_eq!(filled[(0, 0, 1)], -1.0);
     }
 
     #[test]

@@ -26,28 +26,6 @@ impl DayProfiles {
     /// Slots that were never observed for a node fall back to the node's
     /// overall observed mean (or 0 when the node has no observations).
     pub fn from_dataset(ds: &TrafficDataset) -> Self {
-        Self::from_dataset_filtered(ds, |_| true)
-    }
-
-    /// Like [`DayProfiles::from_dataset`] but averaging only over days for
-    /// which `day_filter(day_index)` is true — the building block for the
-    /// paper's weekly extension ("time intervals across weeks/months"),
-    /// e.g. separate weekday and weekend temporal graphs.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use st_data::{generate_pems, DayProfiles, PemsConfig};
-    ///
-    /// let ds = generate_pems(&PemsConfig { num_nodes: 3, num_days: 7, ..Default::default() });
-    /// let weekdays = DayProfiles::from_dataset_filtered(&ds, |day| day % 7 < 5);
-    /// let weekends = DayProfiles::from_dataset_filtered(&ds, |day| day % 7 >= 5);
-    /// assert_eq!(weekdays.num_nodes(), weekends.num_nodes());
-    /// ```
-    pub fn from_dataset_filtered(
-        ds: &TrafficDataset,
-        mut day_filter: impl FnMut(usize) -> bool,
-    ) -> Self {
         let slots = ds.slots_per_day();
         let (n, d, t) = ds.values.shape();
         let mut profiles = Vec::with_capacity(n);
@@ -57,9 +35,6 @@ impl DayProfiles {
             let mut node_sum = vec![0.0; d];
             let mut node_count = vec![0usize; d];
             for time in 0..t {
-                if !day_filter(time / slots) {
-                    continue;
-                }
                 let slot = time % slots;
                 for f in 0..d {
                     if ds.mask[(node, f, time)] != 0.0 {
@@ -85,15 +60,6 @@ impl DayProfiles {
             profiles,
             slots_per_day: slots,
         }
-    }
-
-    /// Convenience pair for the weekly extension: profiles computed over
-    /// weekdays (days 0–4 of each week) and weekends (days 5–6).
-    pub fn weekday_weekend(ds: &TrafficDataset) -> (Self, Self) {
-        (
-            Self::from_dataset_filtered(ds, |day| day % 7 < 5),
-            Self::from_dataset_filtered(ds, |day| day % 7 >= 5),
-        )
     }
 
     /// Number of nodes.
@@ -259,34 +225,6 @@ mod tests {
         }
         let profiles = DayProfiles::from_dataset(&ds);
         assert_eq!(profiles.profiles()[2].sum(), 0.0);
-    }
-
-    #[test]
-    fn weekday_weekend_profiles_differ_on_pems() {
-        let ds = generate_pems(&PemsConfig {
-            num_nodes: 3,
-            num_days: 14,
-            ..Default::default()
-        });
-        let (weekday, weekend) = DayProfiles::weekday_weekend(&ds);
-        // Morning rush slot: weekdays are slower than weekends.
-        let rush = (7 * 60 + 45) / 5;
-        assert!(
-            weekday.profiles()[0][(rush, 0)] + 3.0 < weekend.profiles()[0][(rush, 0)],
-            "weekday rush {} should be well below weekend {}",
-            weekday.profiles()[0][(rush, 0)],
-            weekend.profiles()[0][(rush, 0)]
-        );
-    }
-
-    #[test]
-    fn day_filter_restricts_averaging() {
-        let mut ds = periodic_dataset(); // 4 identical days
-                                         // Corrupt day 3 for node 0 at slot 5.
-        ds.values[(0, 0, 3 * 288 + 5)] = 1e6;
-        let clean = DayProfiles::from_dataset_filtered(&ds, |day| day < 3);
-        let expected = ds.values[(0, 0, 5)];
-        assert!((clean.profiles()[0][(5, 0)] - expected).abs() < 1e-9);
     }
 
     #[test]

@@ -400,14 +400,9 @@ pub fn pairwise_distances(series: &[Vec<Vec<f64>>], measure: SeriesDistance) -> 
     dist
 }
 
-/// Edit distance with Real Penalty (ERP) with gap value `g`.
-///
-/// A metric (satisfies the triangle inequality) unlike raw DTW. Empty series
-/// are handled by pure gap cost.
-pub fn erp(a: &[f64], b: &[f64], g: f64) -> f64 {
-    erp_impl(a, b, g, &mut DistanceScratch::default())
-}
-
+/// Edit distance with Real Penalty (ERP) with gap value `g`: a metric
+/// (it satisfies the triangle inequality), unlike raw DTW. Empty series
+/// cost pure gaps.
 fn erp_impl(a: &[f64], b: &[f64], g: f64, s: &mut DistanceScratch) -> f64 {
     let (n, m) = (a.len(), b.len());
     // Gap costs |bⱼ − g| are row-invariant: computed once, vectorisable.
@@ -449,14 +444,9 @@ fn erp_impl(a: &[f64], b: &[f64], g: f64, s: &mut DistanceScratch) -> f64 {
     s.prev[m]
 }
 
-/// Longest-Common-SubSequence similarity turned into a distance:
-/// `1 − |LCSS| / min(n, m)` with matching threshold `epsilon`.
-///
-/// Returns `1.0` (maximally distant) when either series is empty.
-pub fn lcss(a: &[f64], b: &[f64], epsilon: f64) -> f64 {
-    lcss_impl(a, b, epsilon, &mut DistanceScratch::default())
-}
-
+/// Longest-Common-SubSequence similarity as a distance,
+/// `1 − |LCSS| / min(n, m)` with matching threshold `epsilon`; `1.0`
+/// (maximally distant) when either series is empty.
 fn lcss_impl(a: &[f64], b: &[f64], epsilon: f64, s: &mut DistanceScratch) -> f64 {
     let (n, m) = (a.len(), b.len());
     if n == 0 || m == 0 {
@@ -489,6 +479,14 @@ fn lcss_impl(a: &[f64], b: &[f64], epsilon: f64, s: &mut DistanceScratch) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn erp(a: &[f64], b: &[f64], gap: f64) -> f64 {
+        SeriesDistance::Erp { gap }.compute(a, b)
+    }
+
+    fn lcss(a: &[f64], b: &[f64], epsilon: f64) -> f64 {
+        SeriesDistance::Lcss { epsilon }.compute(a, b)
+    }
 
     #[test]
     fn dtw_identity_is_zero() {
@@ -591,14 +589,6 @@ mod tests {
         let a = [1.0, 2.0, 3.0, 2.0];
         let b = [1.5, 2.5, 2.0];
         assert_eq!(SeriesDistance::Dtw.compute(&a, &b), dtw(&a, &b));
-        assert_eq!(
-            SeriesDistance::Erp { gap: 0.5 }.compute(&a, &b),
-            erp(&a, &b, 0.5)
-        );
-        assert_eq!(
-            SeriesDistance::Lcss { epsilon: 0.6 }.compute(&a, &b),
-            lcss(&a, &b, 0.6)
-        );
         assert_eq!(SeriesDistance::default(), SeriesDistance::Dtw);
     }
 

@@ -411,24 +411,6 @@ pub struct CircularPartition {
     pub partition: Partition,
 }
 
-impl CircularPartition {
-    /// Maps an original time-of-day slot into the rotated coordinates used
-    /// by `partition.intervals`.
-    pub fn rotate_slot(&self, slot: usize, day_len: usize) -> usize {
-        (slot + day_len - self.offset % day_len) % day_len
-    }
-
-    /// The interval index containing an original time-of-day slot.
-    pub fn interval_of(&self, slot: usize, day_len: usize) -> usize {
-        let rotated = self.rotate_slot(slot, day_len);
-        self.partition
-            .intervals
-            .iter()
-            .position(|iv| iv.contains(rotated))
-            .expect("partition covers the full day")
-    }
-}
-
 /// Circular variant of [`partition_day`]: additionally searches over the
 /// rotation of the daily cycle, so the first interval need not start at
 /// midnight (the paper's future-work extension).
@@ -632,23 +614,6 @@ mod tests {
         );
         // The best rotation should align a boundary with the 6:00 edge.
         assert_eq!(circular.offset % 72, 0, "offset was {}", circular.offset);
-    }
-
-    #[test]
-    fn circular_partition_slot_mapping() {
-        let cp = CircularPartition {
-            offset: 72,
-            partition: Partition {
-                intervals: vec![Interval::new(0, 144), Interval::new(144, 288)],
-                score: 1.0,
-                constraints_satisfied: true,
-            },
-        };
-        // Original slot 72 is the rotated origin.
-        assert_eq!(cp.rotate_slot(72, 288), 0);
-        assert_eq!(cp.rotate_slot(0, 288), 216);
-        assert_eq!(cp.interval_of(100, 288), 0);
-        assert_eq!(cp.interval_of(0, 288), 1);
     }
 
     #[test]

@@ -62,40 +62,6 @@ pub fn scaled_laplacian_from_adjacency(adjacency: &Matrix) -> Matrix {
     scaled_laplacian(&normalized_laplacian(adjacency))
 }
 
-/// Computes the Chebyshev feature stack `[T_0(L̃)X, T_1(L̃)X, …, T_{K−1}(L̃)X]`.
-///
-/// Uses the recurrence `T_k(L̃)X = 2·L̃·T_{k−1}(L̃)X − T_{k−2}(L̃)X`, which
-/// needs only matrix–matrix products against `X` (never materialises
-/// `T_k(L̃)` itself).
-///
-/// # Panics
-///
-/// Panics if `k == 0`, `scaled` is not square, or `x.rows()` does not match
-/// the node count.
-pub fn chebyshev_stack(scaled: &Matrix, x: &Matrix, k: usize) -> Vec<Matrix> {
-    assert!(k >= 1, "chebyshev order must be at least 1");
-    let n = scaled.rows();
-    assert_eq!(scaled.cols(), n, "scaled laplacian must be square");
-    assert_eq!(x.rows(), n, "feature matrix must have one row per node");
-
-    let mut stack = Vec::with_capacity(k);
-    stack.push(x.clone()); // T_0 X = X
-    if k >= 2 {
-        stack.push(scaled.matmul(x)); // T_1 X = L̃ X
-    }
-    for i in 2..k {
-        let next = {
-            let prev = &stack[i - 1];
-            let prev2 = &stack[i - 2];
-            let mut t = scaled.matmul(prev).scale(2.0);
-            t.axpy(-1.0, prev2);
-            t
-        };
-        stack.push(next);
-    }
-    stack
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,50 +104,5 @@ mod tests {
         let s = scaled_laplacian(&l);
         let lambda = linalg::power_iteration_max_eig(&s, 500, 1e-10);
         assert!(lambda <= 1.0 + 1e-6, "spectral radius was {lambda}");
-    }
-
-    #[test]
-    fn chebyshev_stack_first_terms() {
-        let l = scaled_laplacian_from_adjacency(&path_graph3());
-        let x = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]);
-        let stack = chebyshev_stack(&l, &x, 3);
-        assert_eq!(stack.len(), 3);
-        assert_eq!(stack[0], x);
-        assert_eq!(stack[1], l.matmul(&x));
-        let expected_t2 = {
-            let mut t = l.matmul(&stack[1]).scale(2.0);
-            t.axpy(-1.0, &stack[0]);
-            t
-        };
-        assert_eq!(stack[2], expected_t2);
-    }
-
-    #[test]
-    fn chebyshev_order_one_is_identity_propagation() {
-        let l = scaled_laplacian_from_adjacency(&path_graph3());
-        let x = Matrix::from_rows(&[&[1.0, 2.0], &[0.0, 1.0], &[-1.0, 0.5]]);
-        let stack = chebyshev_stack(&l, &x, 1);
-        assert_eq!(stack, vec![x]);
-    }
-
-    #[test]
-    fn chebyshev_matches_explicit_polynomials() {
-        // T_3(x) = 4x³ − 3x applied to the matrix must match the recurrence.
-        let l = scaled_laplacian_from_adjacency(&path_graph3());
-        let x = Matrix::identity(3);
-        let stack = chebyshev_stack(&l, &x, 4);
-        let l2 = l.matmul(&l);
-        let l3 = l2.matmul(&l);
-        let mut explicit = l3.scale(4.0);
-        explicit.axpy(-3.0, &l);
-        assert!(stack[3].max_abs_diff(&explicit) < 1e-10);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn chebyshev_rejects_zero_order() {
-        let l = Matrix::identity(2);
-        let x = Matrix::zeros(2, 1);
-        let _ = chebyshev_stack(&l, &x, 0);
     }
 }

@@ -6,10 +6,10 @@
 //! * [`RoadNetwork`] — sensor/segment topology with geographic metadata;
 //! * [`gaussian_adjacency`] — the paper's Eq. (8) thresholded Gaussian
 //!   kernel, used for both the geographic graph and every temporal graph;
-//! * [`normalized_laplacian`] / [`scaled_laplacian`] / [`chebyshev_stack`]
-//!   — spectral utilities behind the Chebyshev GCN (paper Eq. 1);
-//! * [`dtw`] (plus [`erp`] and [`lcss`]) — time-series distances for
-//!   temporal-graph construction;
+//! * [`normalized_laplacian`] / [`scaled_laplacian`] — spectral utilities
+//!   behind the Chebyshev GCN (paper Eq. 1);
+//! * [`dtw`] (plus ERP and LCSS through [`SeriesDistance`]) — time-series
+//!   distances for temporal-graph construction;
 //! * [`partition_day`] — the constrained interval-partitioning solver of
 //!   paper Eq. (2), and [`interval_weights`] for per-sample soft interval
 //!   membership used when aggregating HGCN branches.
@@ -28,22 +28,18 @@
 #![warn(missing_docs)]
 
 mod adjacency;
-mod connectivity;
 mod distance;
 mod intervals;
 mod laplacian;
 mod road;
 
 pub use adjacency::{gaussian_adjacency, off_diagonal_std, sparsity};
-pub use connectivity::{connected_components, degrees, is_connected, k_hop_neighbourhood};
 pub use distance::{
-    dtw, dtw_lanes, dtw_windowed, erp, lcss, pairwise_distances, DistanceScratch, SeriesDistance,
+    dtw, dtw_lanes, dtw_windowed, pairwise_distances, DistanceScratch, SeriesDistance,
 };
 pub use intervals::{
     interval_weights, partition_day, partition_day_circular, CircularPartition, Interval,
     IntervalConfig, Partition,
 };
-pub use laplacian::{
-    chebyshev_stack, normalized_laplacian, scaled_laplacian, scaled_laplacian_from_adjacency,
-};
+pub use laplacian::{normalized_laplacian, scaled_laplacian, scaled_laplacian_from_adjacency};
 pub use road::{RoadNetwork, RoadSegment};

@@ -111,25 +111,6 @@ impl RoadNetwork {
         self.segments.get(id)
     }
 
-    /// Builds a sub-network keeping only the given segments (re-indexed in
-    /// the given order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn subset(&self, keep: &[usize]) -> Self {
-        let segments = keep
-            .iter()
-            .enumerate()
-            .map(|(new_id, &old)| {
-                let mut seg = self.segments[old].clone();
-                seg.id = new_id;
-                seg
-            })
-            .collect();
-        Self { segments }
-    }
-
     /// Pairwise Euclidean distance matrix in kilometres.
     pub fn distance_matrix(&self) -> Matrix {
         let n = self.segments.len();
@@ -211,22 +192,6 @@ mod tests {
         assert!(net.segments().iter().all(|s| s.traffic_lights >= 1));
         assert!(net.get(11).is_some());
         assert!(net.get(12).is_none());
-    }
-
-    #[test]
-    fn subset_reindexes() {
-        let net = RoadNetwork::loop_route(6, 1.0);
-        let sub = net.subset(&[4, 1]);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.get(0).unwrap().x, net.get(4).unwrap().x);
-        assert_eq!(sub.get(1).unwrap().lanes, net.get(1).unwrap().lanes);
-        assert_eq!(sub.get(0).unwrap().id, 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn subset_rejects_out_of_range() {
-        let _ = RoadNetwork::corridor(3, 1.0).subset(&[5]);
     }
 
     #[test]

@@ -22,13 +22,17 @@ use st_tensor::Matrix;
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
     t: u64,
     m: Vec<Matrix>,
     v: Vec<Matrix>,
 }
+
+/// First-moment decay β₁.
+const BETA1: f64 = 0.9;
+/// Second-moment decay β₂.
+const BETA2: f64 = 0.999;
+/// Denominator guard ε.
+const EPS: f64 = 1e-8;
 
 impl Adam {
     /// Creates an optimiser with the standard β₁ = 0.9, β₂ = 0.999,
@@ -38,21 +42,7 @@ impl Adam {
     ///
     /// Panics if `lr` is not positive.
     pub fn new(store: &ParamStore, lr: f64) -> Self {
-        Self::with_betas(store, lr, 0.9, 0.999, 1e-8)
-    }
-
-    /// Creates an optimiser with explicit hyper-parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0`, betas are outside `[0, 1)`, or `eps <= 0`.
-    pub fn with_betas(store: &ParamStore, lr: f64, beta1: f64, beta2: f64, eps: f64) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        assert!(
-            (0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2),
-            "betas in [0,1)"
-        );
-        assert!(eps > 0.0, "eps must be positive");
         let m = store
             .ids()
             .map(|id| {
@@ -61,35 +51,7 @@ impl Adam {
             })
             .collect::<Vec<_>>();
         let v = m.clone();
-        Self {
-            lr,
-            beta1,
-            beta2,
-            eps,
-            t: 0,
-            m,
-            v,
-        }
-    }
-
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    /// Changes the learning rate (e.g. for decay schedules).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive.
-    pub fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
-    /// Number of steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.t
+        Self { lr, t: 0, m, v }
     }
 
     /// Applies one update using the gradients accumulated in the store,
@@ -108,8 +70,8 @@ impl Adam {
         let params = store.len();
         let _span = st_obs::span!("nn.adam_step", params);
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
         let ids: Vec<_> = store.ids().collect();
         for id in ids {
             // In-place update through the split value/grad borrow: no
@@ -119,13 +81,13 @@ impl Adam {
             let v = &mut self.v[id.index()];
             for i in 0..grad.len() {
                 let gi = grad.as_slice()[i];
-                let mi = self.beta1 * m.as_slice()[i] + (1.0 - self.beta1) * gi;
-                let vi = self.beta2 * v.as_slice()[i] + (1.0 - self.beta2) * gi * gi;
+                let mi = BETA1 * m.as_slice()[i] + (1.0 - BETA1) * gi;
+                let vi = BETA2 * v.as_slice()[i] + (1.0 - BETA2) * gi * gi;
                 m.as_mut_slice()[i] = mi;
                 v.as_mut_slice()[i] = vi;
                 let m_hat = mi / bc1;
                 let v_hat = vi / bc2;
-                value.as_mut_slice()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+                value.as_mut_slice()[i] -= self.lr * m_hat / (v_hat.sqrt() + EPS);
             }
         }
     }

@@ -36,22 +36,18 @@
 
 mod adam;
 mod gcn;
-mod gru;
 mod hgcn;
 mod linear;
 mod lstm;
 mod metrics;
 mod params;
-mod schedule;
 mod stopping;
 
 pub use adam::Adam;
 pub use gcn::{Activation, ChebBasis, ChebGcn};
-pub use gru::GruCell;
 pub use hgcn::HgcnBlock;
 pub use linear::Linear;
 pub use lstm::{LstmCell, LstmState};
 pub use metrics::{mae, mape, rmse, ErrorAccum, Metrics};
 pub use params::{ParamId, ParamStore, Session, SessionSlot};
-pub use schedule::LrSchedule;
 pub use stopping::{EarlyStopping, StopDecision};

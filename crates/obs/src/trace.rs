@@ -3,7 +3,7 @@
 //!
 //! # Design
 //!
-//! Each thread that opens a span owns one [`ring`](ThreadRing) of
+//! Each thread that opens a span owns one ring of
 //! [`ring_capacity`] fixed slots ([`RING_CAPACITY`] by default; the
 //! `ST_OBS_RING` variable resizes it for long traced runs). Recording a
 //! finished span is a handful
@@ -12,8 +12,8 @@
 //! registry keeps one `Arc` per ring so any thread can [`snapshot`] all
 //! of them; readers detect torn slots via the sequence counter and skip
 //! them instead of waiting. Once a ring wraps, the oldest spans are
-//! overwritten — the snapshot reports how many were [dropped]
-//! (TraceSnapshot::dropped).
+//! overwritten — the snapshot reports how many were
+//! [dropped](TraceSnapshot::dropped).
 //!
 //! Self time is computed exactly at record time: every thread keeps a
 //! (plain, thread-local) stack of open spans; when a span closes, its

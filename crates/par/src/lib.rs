@@ -7,8 +7,8 @@
 //! use, each designed so that floating-point evaluation order never depends
 //! on how work is scheduled:
 //!
-//! * [`par_chunks_mut`] / [`par_chunks`] — chunked maps over a slice. Each
-//!   chunk is produced by exactly one task, so as long as the per-chunk
+//! * [`par_chunks_mut`] — a chunked map over a slice. Each chunk is
+//!   produced by exactly one task, so as long as the per-chunk
 //!   computation is itself deterministic, the result is independent of the
 //!   worker count and of which worker claims which chunk.
 //! * [`for_each_index`] — an index-space map with the same disjoint-output
@@ -261,31 +261,6 @@ where
     });
 }
 
-/// Read-only sibling of [`par_chunks_mut`]: applies `f(chunk_index, chunk)`
-/// to consecutive `chunk_len`-sized chunks of `data`.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0`, or propagates a worker's panic.
-pub fn par_chunks<T, F>(data: &[T], chunk_len: usize, f: F)
-where
-    T: Sync,
-    F: Fn(usize, &[T]) + Sync,
-{
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    let total = data.len();
-    if total == 0 {
-        return;
-    }
-    let num_chunks = total.div_ceil(chunk_len);
-    let _span = st_obs::span!("par.chunks", num_chunks);
-    for_each_index(num_chunks, |idx| {
-        let start = idx * chunk_len;
-        let end = (start + chunk_len).min(total);
-        f(idx, &data[start..end]);
-    });
-}
-
 /// Runs `f(i)` for every `i in 0..n`, claiming indices dynamically across
 /// the resolved worker count.
 ///
@@ -456,19 +431,6 @@ mod tests {
             chunk[0] = 2.0;
         });
         assert_eq!(one, vec![2.0]);
-    }
-
-    #[test]
-    fn par_chunks_reads_all_chunks() {
-        let data: Vec<usize> = (0..57).collect();
-        let seen = Mutex::new(vec![false; 8]);
-        with_forced_threads(4, || {
-            par_chunks(&data, 8, |idx, chunk| {
-                assert_eq!(chunk[0], idx * 8);
-                seen.lock().unwrap()[idx] = true;
-            });
-        });
-        assert!(seen.lock().unwrap().iter().all(|&s| s));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Every family carries its `# HELP` / `# TYPE` header and histograms come
 //! with the `_sum`/`_count` lines rate/avg queries need. Beyond the
 //! HTTP-side counters, [`Metrics::render`] also exports the engine's queue
-//! depth and tape-run counters, the inference tape's [`MatrixPool`]
-//! (st_tensor::MatrixPool) statistics (published by the engine thread via
+//! depth and tape-run counters, the inference tape's
+//! [`MatrixPool`](st_tensor::MatrixPool) statistics (published by the engine thread via
 //! [`Metrics::set_pool_stats`]) and the process-wide [`st_par::stats`]
 //! scheduling counters — one scrape shows the whole pipeline.
 
@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Routes the service distinguishes in its metrics.
 ///
-/// The discriminant doubles as the index into [`ROUTES`] (asserted at
+/// The discriminant doubles as the index into the route table (asserted at
 /// compile time), so per-request recording is O(1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {

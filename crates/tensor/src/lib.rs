@@ -6,7 +6,7 @@
 //! * [`Matrix`] — dense row-major `f64` matrices with the elementwise,
 //!   product and reduction operations the autodiff tape and NN layers need;
 //! * [`Tensor3`] — `N × D × T` spatio-temporal data cubes;
-//! * [`linalg`] — Gaussian elimination, Cholesky, least squares and a
+//! * [`linalg`] — Gaussian elimination, least squares and a
 //!   power-iteration eigenvalue bound;
 //! * seeded random initialisation helpers ([`rng`], [`xavier_matrix`], …).
 //!
@@ -39,6 +39,6 @@ pub use linalg::SolveError;
 pub use matrix::{Matrix, KC, MR, NR};
 pub use parallel::{parallel_threshold, set_parallel_threshold, DEFAULT_PARALLEL_THRESHOLD};
 pub use pool::{MatrixPool, PoolStats};
-pub use random::{normal_matrix, rng, standard_normal, uniform_matrix, xavier_matrix};
+pub use random::{rng, standard_normal, uniform_matrix, xavier_matrix};
 pub use rng::{splitmix64, SampleRange, StRng};
 pub use tensor3::Tensor3;

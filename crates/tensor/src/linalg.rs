@@ -2,11 +2,10 @@
 //!
 //! Provides the handful of dense linear-algebra routines the workspace needs:
 //! Gaussian elimination with partial pivoting (used by the VAR baseline and
-//! the matrix-factorisation imputers), Cholesky factorisation for symmetric
-//! positive-definite systems, ordinary least squares via the normal
-//! equations, and a power-iteration bound on the largest eigenvalue of a
-//! symmetric matrix (needed to scale the graph Laplacian for Chebyshev
-//! convolutions).
+//! the matrix-factorisation imputers), ordinary least squares via the
+//! normal equations (Cholesky first, elimination as the fallback), and a
+//! power-iteration bound on the largest eigenvalue of a symmetric matrix
+//! (needed to scale the graph Laplacian for Chebyshev convolutions).
 
 use crate::Matrix;
 use std::error::Error;
@@ -134,7 +133,7 @@ pub fn solve(a: &Matrix, b: &Matrix) -> Result<Matrix, SolveError> {
 ///
 /// Returns [`SolveError::ShapeMismatch`] for non-square input and
 /// [`SolveError::NotPositiveDefinite`] when a pivot is non-positive.
-pub fn cholesky(a: &Matrix) -> Result<Matrix, SolveError> {
+fn cholesky(a: &Matrix) -> Result<Matrix, SolveError> {
     let n = a.rows();
     if a.cols() != n {
         return Err(SolveError::ShapeMismatch(format!(
@@ -169,7 +168,7 @@ pub fn cholesky(a: &Matrix) -> Result<Matrix, SolveError> {
 ///
 /// Propagates the errors of [`cholesky`]; additionally returns
 /// [`SolveError::ShapeMismatch`] when `B` has the wrong row count.
-pub fn solve_spd(a: &Matrix, b: &Matrix) -> Result<Matrix, SolveError> {
+fn solve_spd(a: &Matrix, b: &Matrix) -> Result<Matrix, SolveError> {
     let l = cholesky(a)?;
     let n = a.rows();
     if b.rows() != n {

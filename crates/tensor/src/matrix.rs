@@ -283,11 +283,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Creates a single-row matrix from a slice.
-    pub fn row_vector(values: &[f64]) -> Self {
-        Self::from_vec(1, values.len(), values.to_vec())
-    }
-
     /// Creates a single-column matrix from a slice.
     pub fn col_vector(values: &[f64]) -> Self {
         Self::from_vec(values.len(), 1, values.to_vec())
@@ -722,13 +717,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
@@ -1440,7 +1428,7 @@ mod tests {
     #[test]
     fn row_broadcast_bias() {
         let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::row_vector(&[10.0, 20.0]);
+        let b = Matrix::from_rows(&[&[10.0, 20.0]]);
         assert_eq!(
             x.add_row_broadcast(&b),
             Matrix::from_rows(&[&[11.0, 22.0], &[13.0, 24.0]])

@@ -2,8 +2,7 @@
 //!
 //! Small, allocation-light helpers used by the dataset quality reports,
 //! the synthetic-generator tests and the experiment harness: moments,
-//! quantiles, Pearson correlation, autocorrelation and correlation
-//! matrices.
+//! Pearson correlation, autocorrelation and correlation matrices.
 
 use crate::Matrix;
 
@@ -14,41 +13,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
     }
-}
-
-/// Population variance; `0.0` for slices shorter than 2.
-pub fn variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
-/// Linear-interpolated quantile `q ∈ [0, 1]` of a sample.
-///
-/// Returns `None` for an empty slice or a `q` outside `[0, 1]`.
-pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
-    if xs.is_empty() || !(0.0..=1.0).contains(&q) {
-        return None;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
-/// Median (the 0.5 quantile).
-pub fn median(xs: &[f64]) -> Option<f64> {
-    quantile(xs, 0.5)
 }
 
 /// Pearson correlation of two equal-length samples; `0.0` when either side
@@ -150,31 +114,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn moments_known_values() {
+    fn mean_known_value() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs), 5.0);
-        assert_eq!(variance(&xs), 4.0);
-        assert_eq!(std_dev(&xs), 2.0);
     }
 
     #[test]
     fn empty_and_short_inputs() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[1.0]), 0.0);
-        assert_eq!(quantile(&[], 0.5), None);
         assert_eq!(pearson(&[1.0], &[2.0]), 0.0);
-    }
-
-    #[test]
-    fn quantiles_interpolate() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile(&xs, 0.0), Some(1.0));
-        assert_eq!(quantile(&xs, 1.0), Some(4.0));
-        assert_eq!(median(&xs), Some(2.5));
-        assert_eq!(quantile(&xs, 1.5), None);
-        // Order-independent.
-        let shuffled = [3.0, 1.0, 4.0, 2.0];
-        assert_eq!(median(&shuffled), Some(2.5));
     }
 
     #[test]

@@ -146,50 +146,6 @@ impl Tensor3 {
         })
     }
 
-    /// Writes an `N × D` matrix into timestamp `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is out of bounds or the matrix shape is not `N × D`.
-    pub fn set_time_slice(&mut self, t: usize, values: &Matrix) {
-        assert!(
-            t < self.times,
-            "time {} out of bounds for {} times",
-            t,
-            self.times
-        );
-        assert_eq!(
-            values.shape(),
-            (self.nodes, self.features),
-            "time slice must be {}x{}",
-            self.nodes,
-            self.features
-        );
-        for n in 0..self.nodes {
-            for d in 0..self.features {
-                let off = self.offset(n, d, t);
-                self.data[off] = values[(n, d)];
-            }
-        }
-    }
-
-    /// Extracts node `n`'s full series as a `T × D` matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n >= self.nodes()`.
-    pub fn node_series(&self, n: usize) -> Matrix {
-        assert!(
-            n < self.nodes,
-            "node {} out of bounds for {} nodes",
-            n,
-            self.nodes
-        );
-        Matrix::from_fn(self.times, self.features, |t, d| {
-            self.data[self.offset(n, d, t)]
-        })
-    }
-
     /// Extracts the scalar series of feature `d` for node `n`.
     ///
     /// # Panics
@@ -256,29 +212,6 @@ impl Tensor3 {
             0.0
         } else {
             self.data.iter().sum::<f64>() / self.data.len() as f64
-        }
-    }
-
-    /// Mean of elements selected by a same-shaped `{0,1}` mask; `None` when
-    /// the mask selects nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn masked_mean(&self, mask: &Tensor3) -> Option<f64> {
-        assert_eq!(self.shape(), mask.shape(), "masked_mean shape mismatch");
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for (&x, &m) in self.data.iter().zip(&mask.data) {
-            if m != 0.0 {
-                sum += x;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            None
-        } else {
-            Some(sum / count as f64)
         }
     }
 
@@ -359,22 +292,21 @@ mod tests {
     }
 
     #[test]
-    fn time_slice_round_trip() {
+    fn time_slice_reads_one_timestamp() {
         let mut t = Tensor3::zeros(2, 2, 3);
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        t.set_time_slice(1, &m);
-        assert_eq!(t.time_slice(1), m);
+        t[(1, 0, 1)] = 3.0;
+        assert_eq!(
+            t.time_slice(1),
+            Matrix::from_rows(&[&[0.0, 0.0], &[3.0, 0.0]])
+        );
         assert_eq!(t.time_slice(0), Matrix::zeros(2, 2));
-        assert_eq!(t[(1, 0, 1)], 3.0);
     }
 
     #[test]
-    fn node_series_and_series() {
+    fn series_reads_one_node_feature() {
         let t = Tensor3::from_fn(2, 2, 3, |n, d, tt| (n * 100 + d * 10 + tt) as f64);
-        let s = t.node_series(1);
-        assert_eq!(s.shape(), (3, 2));
-        assert_eq!(s[(2, 1)], 112.0);
         assert_eq!(t.series(0, 1), vec![10.0, 11.0, 12.0]);
+        assert_eq!(t.series(1, 1), vec![110.0, 111.0, 112.0]);
     }
 
     #[test]
@@ -392,17 +324,6 @@ mod tests {
         assert_eq!(b[(0, 1, 1)], 3.0);
         let c = a.zip_map(&b, |x, y| x + y);
         assert_eq!(c[(0, 0, 0)], 4.0);
-    }
-
-    #[test]
-    fn masked_mean_counts_only_selected() {
-        let x = Tensor3::from_fn(1, 1, 4, |_, _, t| t as f64);
-        let mut m = Tensor3::zeros(1, 1, 4);
-        m[(0, 0, 1)] = 1.0;
-        m[(0, 0, 3)] = 1.0;
-        assert_eq!(x.masked_mean(&m), Some(2.0));
-        let empty_mask = Tensor3::zeros(1, 1, 4);
-        assert_eq!(x.masked_mean(&empty_mask), None);
     }
 
     #[test]

@@ -172,18 +172,22 @@ fn solve_inverts_matmul() {
 }
 
 #[test]
-fn cholesky_solve_agrees_with_lu() {
-    Check::new("cholesky_solve_agrees_with_lu").cases(64).run(
-        |g| matrix(g, 3, 2),
-        |x| {
-            let a = Matrix::from_rows(&[&[4.0, 1.0, 0.5], &[1.0, 5.0, 2.0], &[0.5, 2.0, 6.0]]);
-            let b = a.matmul(x);
-            let via_chol = linalg::solve_spd(&a, &b).unwrap();
-            let via_lu = linalg::solve(&a, &b).unwrap();
-            prop_assert!(via_chol.max_abs_diff(&via_lu) < 1e-8);
-            Ok(())
-        },
-    );
+fn least_squares_agrees_with_lu_on_square_systems() {
+    // A square SPD system has the exact solution as its least-squares fit;
+    // `least_squares` reaches it through Cholesky on the normal equations.
+    Check::new("least_squares_agrees_with_lu_on_square_systems")
+        .cases(64)
+        .run(
+            |g| matrix(g, 3, 2),
+            |x| {
+                let a = Matrix::from_rows(&[&[4.0, 1.0, 0.5], &[1.0, 5.0, 2.0], &[0.5, 2.0, 6.0]]);
+                let b = a.matmul(x);
+                let via_chol = linalg::least_squares(&a, &b, 0.0).unwrap();
+                let via_lu = linalg::solve(&a, &b).unwrap();
+                prop_assert!(via_chol.max_abs_diff(&via_lu) < 1e-8);
+                Ok(())
+            },
+        );
 }
 
 #[test]

@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             }
         }
     }
-    let ds = read_csv(csv.as_bytes(), "arterial", network, 5)?;
+    let ds = read_csv(csv.as_bytes(), "arterial", |_| network, 5)?;
     println!(
         "loaded {} nodes × {} timestamps from CSV ({:.0}% missing)",
         ds.num_nodes(),
