@@ -3,8 +3,8 @@
 //! The [`Tape`] records a computation as a sequence of matrix-valued nodes.
 //! Nodes are created in topological order (an operation can only reference
 //! earlier nodes), so [`Tape::backward`] is a single reverse sweep that
-//! accumulates gradients into every node that transitively depends on a
-//! parameter.
+//! passes gradients through every node that transitively depends on a
+//! parameter and keeps them at the leaves.
 //!
 //! This is exactly the machinery the paper's "imputed values are trainable
 //! variables" trick needs: the estimated matrix `X̂_{t+1}` stays a tape node,
@@ -15,13 +15,29 @@
 //!
 //! Training replays the same graph topology every step, so the tape owns a
 //! [`MatrixPool`] and routes every forward value, backward scratch gradient
-//! and persistent gradient slot through it. [`Tape::reset`] returns all of
-//! them to the pool instead of freeing them; at steady state a recycled tape
-//! performs no heap allocation at all. Pooled execution is bit-identical to
-//! the allocating path: recycled buffers are fully overwritten (`*_into`
-//! kernels) or seeded by `copy_from` (a memcpy), never partially updated.
+//! and persistent gradient slot through it. Pooled execution is
+//! bit-identical to the allocating path: recycled buffers are fully
+//! overwritten (`*_into` kernels) or seeded by `copy_from` (a memcpy),
+//! never partially updated. Buffers go back to the pool at three points,
+//! so the pool (and the process) only ever grows to the largest working
+//! set of one run:
+//!
+//! - **During the sweep.** [`Tape::backward`] keeps a gradient only for
+//!   leaves. Every other node's gradient returns to the pool as soon as it
+//!   has been passed on to the node's parents, and later nodes of the same
+//!   sweep reuse it.
+//! - **Between recurrent steps.** [`Tape::release_since`] returns the
+//!   values a step no longer needs. Only runs that never call `backward`
+//!   (inference) may do this.
+//! - **At [`Tape::reset`]**, which returns everything else. At steady state
+//!   a recycled tape performs no heap allocation at all.
+//!
+//! Large constants that outlive the tape, such as Chebyshev bases, are
+//! never copied onto it: [`Tape::matmul_shared`] borrows them through an
+//! [`Arc`].
 
 use st_tensor::{Matrix, MatrixPool, PoolStats};
+use std::sync::Arc;
 
 /// Handle to a node on a [`Tape`].
 ///
@@ -44,6 +60,9 @@ enum Op {
     Sub(usize, usize),
     Mul(usize, usize),
     Matmul(usize, usize),
+    // `shared[a] · x`, with `a` indexing the tape's side table of borrowed
+    // constants (so `Op` stays `Copy`).
+    MatmulShared { a: usize, x: usize },
     Scale(usize, f64),
     AddScalar(usize),
     AddBias { x: usize, bias: usize },
@@ -74,6 +93,8 @@ struct Node {
     grad: Option<Matrix>,
     op: Op,
     needs_grad: bool,
+    // The value went back to the pool (see `Tape::release_since`).
+    released: bool,
 }
 
 /// A reverse-mode autodiff tape over dense matrices.
@@ -98,6 +119,8 @@ pub struct Tape {
     // Per-sweep scratch gradients, kept across sweeps so the Vec itself is
     // reused; every entry is `None` between sweeps.
     sweep: Vec<Option<Matrix>>,
+    // Borrowed left operands of `Op::MatmulShared`.
+    shared: Vec<Arc<Matrix>>,
 }
 
 impl Tape {
@@ -123,7 +146,13 @@ impl Tape {
     /// same graph without growing. `Var`s from before the reset are invalid
     /// (they would index into the new recording).
     pub fn reset(&mut self) {
-        let Tape { nodes, pool, sweep } = self;
+        let Tape {
+            nodes,
+            pool,
+            sweep,
+            shared,
+        } = self;
+        shared.clear();
         for node in nodes.drain(..) {
             pool.release(node.value);
             if let Some(g) = node.grad {
@@ -153,6 +182,7 @@ impl Tape {
             grad: None,
             op,
             needs_grad,
+            released: false,
         });
         Var(self.nodes.len() - 1)
     }
@@ -203,29 +233,46 @@ impl Tape {
     ///
     /// # Panics
     ///
-    /// Panics if `v` does not belong to this tape.
+    /// Panics if `v` does not belong to this tape, or if its value was
+    /// returned to the pool by [`Tape::release_since`].
     pub fn value(&self, v: Var) -> &Matrix {
-        &self.nodes[v.0].value
+        let node = &self.nodes[v.0];
+        assert!(
+            !node.released,
+            "tape node {} was released; its value is gone",
+            v.0
+        );
+        &node.value
     }
 
-    /// The accumulated gradient of a node; a zero matrix if [`Tape::backward`]
-    /// has not reached it.
+    /// The accumulated gradient of a node; a zero matrix if
+    /// [`Tape::backward`] has not reached it.
+    ///
+    /// Only leaves keep a gradient after the sweep (of those, only
+    /// [`Tape::parameter`]s receive one): every other node's gradient goes
+    /// back to the pool once it has been passed on, so for those this is
+    /// always zero.
     ///
     /// Allocates a copy on every call — prefer [`Tape::grad_ref`] in hot
     /// paths.
     ///
     /// # Panics
     ///
-    /// Panics if `v` does not belong to this tape.
+    /// Panics if `v` does not belong to this tape, or if its value was
+    /// released.
     pub fn grad(&self, v: Var) -> Matrix {
-        let node = &self.nodes[v.0];
-        node.grad
+        let (rows, cols) = self.value(v).shape();
+        self.nodes[v.0]
+            .grad
             .clone()
-            .unwrap_or_else(|| Matrix::zeros(node.value.rows(), node.value.cols()))
+            .unwrap_or_else(|| Matrix::zeros(rows, cols))
     }
 
     /// Borrows the accumulated gradient of a node; `None` if
     /// [`Tape::backward`] has not reached it (i.e. the gradient is zero).
+    ///
+    /// Like [`Tape::grad`], this is always `None` for a node that is not a
+    /// leaf: the sweep frees intermediate gradients once propagated.
     ///
     /// # Panics
     ///
@@ -239,6 +286,32 @@ impl Tape {
         self.nodes[v.0].needs_grad
     }
 
+    /// Returns to the pool the value of every node recorded at index
+    /// `start` or later, except the nodes in `keep` and parameter leaves.
+    ///
+    /// A recurrent inference run calls this at the end of each step with
+    /// `start` = the step's first node and `keep` = what later steps read,
+    /// so the pool recycles one step's scratch for the next instead of the
+    /// tape holding every step at once. Parameter leaves are kept because
+    /// a session binds each parameter once and reuses that node on every
+    /// later step.
+    ///
+    /// Reading a released node ([`Tape::value`], or any op taking it as an
+    /// operand) panics with the node's index, and so does
+    /// [`Tape::backward`] once any node was released: the sweep needs
+    /// every value.
+    pub fn release_since(&mut self, start: usize, keep: &[Var]) {
+        let Tape { nodes, pool, .. } = self;
+        for (i, node) in nodes.iter_mut().enumerate().skip(start) {
+            let parameter = matches!(node.op, Op::Leaf) && node.needs_grad;
+            if node.released || parameter || keep.iter().any(|k| k.0 == i) {
+                continue;
+            }
+            node.released = true;
+            pool.release(std::mem::replace(&mut node.value, Matrix::zeros(0, 0)));
+        }
+    }
+
     fn binary_needs(&self, a: Var, b: Var) -> bool {
         self.nodes[a.0].needs_grad || self.nodes[b.0].needs_grad
     }
@@ -249,11 +322,10 @@ impl Tape {
     ///
     /// Panics if shapes differ.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
+        let (r, c) = self.value(a).shape();
         let mut v = self.pool.acquire(r, c);
-        self.nodes[a.0]
-            .value
-            .zip_map_into(&self.nodes[b.0].value, &mut v, |x, y| x + y);
+        self.value(a)
+            .zip_map_into(self.value(b), &mut v, |x, y| x + y);
         let ng = self.binary_needs(a, b);
         self.push(v, Op::Add(a.0, b.0), ng)
     }
@@ -264,11 +336,10 @@ impl Tape {
     ///
     /// Panics if shapes differ.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
+        let (r, c) = self.value(a).shape();
         let mut v = self.pool.acquire(r, c);
-        self.nodes[a.0]
-            .value
-            .zip_map_into(&self.nodes[b.0].value, &mut v, |x, y| x - y);
+        self.value(a)
+            .zip_map_into(self.value(b), &mut v, |x, y| x - y);
         let ng = self.binary_needs(a, b);
         self.push(v, Op::Sub(a.0, b.0), ng)
     }
@@ -279,11 +350,9 @@ impl Tape {
     ///
     /// Panics if shapes differ.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
+        let (r, c) = self.value(a).shape();
         let mut v = self.pool.acquire(r, c);
-        self.nodes[a.0]
-            .value
-            .hadamard_into(&self.nodes[b.0].value, &mut v);
+        self.value(a).hadamard_into(self.value(b), &mut v);
         let ng = self.binary_needs(a, b);
         self.push(v, Op::Mul(a.0, b.0), ng)
     }
@@ -294,30 +363,51 @@ impl Tape {
     ///
     /// Panics if inner dimensions disagree.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let rows = self.nodes[a.0].value.rows();
-        let cols = self.nodes[b.0].value.cols();
+        let rows = self.value(a).rows();
+        let cols = self.value(b).cols();
         let mut v = self.pool.acquire(rows, cols);
-        self.nodes[a.0]
-            .value
-            .matmul_into(&self.nodes[b.0].value, &mut v);
+        self.value(a).matmul_into(self.value(b), &mut v);
         let ng = self.binary_needs(a, b);
         self.push(v, Op::Matmul(a.0, b.0), ng)
     }
 
+    /// Matrix product `a · x` with a borrowed constant left operand.
+    ///
+    /// Computes exactly what [`Tape::matmul`] computes for a constant `a`
+    /// (the same kernels, forward and backward), but keeps a clone of the
+    /// [`Arc`] instead of copying `a` onto the tape. Use it for large
+    /// constants that outlive the tape and recur on every step, such as
+    /// the Chebyshev bases `T_k(L̃)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if inner dimensions disagree.
+    pub fn matmul_shared(&mut self, a: &Arc<Matrix>, x: Var) -> Var {
+        let mut v = self.pool.acquire(a.rows(), self.value(x).cols());
+        a.matmul_into(self.value(x), &mut v);
+        self.shared.push(Arc::clone(a));
+        let op = Op::MatmulShared {
+            a: self.shared.len() - 1,
+            x: x.0,
+        };
+        let ng = self.nodes[x.0].needs_grad;
+        self.push(v, op, ng)
+    }
+
     /// Scalar multiple `s · a`.
     pub fn scale(&mut self, a: Var, s: f64) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
+        let (r, c) = self.value(a).shape();
         let mut v = self.pool.acquire(r, c);
-        self.nodes[a.0].value.map_into(&mut v, |x| x * s);
+        self.value(a).map_into(&mut v, |x| x * s);
         let ng = self.nodes[a.0].needs_grad;
         self.push(v, Op::Scale(a.0, s), ng)
     }
 
     /// Adds the scalar `s` to every element.
     pub fn add_scalar(&mut self, a: Var, s: f64) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
+        let (r, c) = self.value(a).shape();
         let mut v = self.pool.acquire(r, c);
-        self.nodes[a.0].value.map_into(&mut v, |x| x + s);
+        self.value(a).map_into(&mut v, |x| x + s);
         let ng = self.nodes[a.0].needs_grad;
         self.push(v, Op::AddScalar(a.0), ng)
     }
@@ -328,11 +418,10 @@ impl Tape {
     ///
     /// Panics if `bias` is not a row vector of matching width.
     pub fn add_bias(&mut self, x: Var, bias: Var) -> Var {
-        let (r, c) = self.nodes[x.0].value.shape();
+        let (r, c) = self.value(x).shape();
         let mut v = self.pool.acquire(r, c);
-        self.nodes[x.0]
-            .value
-            .add_row_broadcast_into(&self.nodes[bias.0].value, &mut v);
+        self.value(x)
+            .add_row_broadcast_into(self.value(bias), &mut v);
         let ng = self.binary_needs(x, bias);
         self.push(
             v,
@@ -346,38 +435,36 @@ impl Tape {
 
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
+        let (r, c) = self.value(a).shape();
         let mut v = self.pool.acquire(r, c);
-        self.nodes[a.0]
-            .value
-            .map_into(&mut v, |x| 1.0 / (1.0 + (-x).exp()));
+        self.value(a).map_into(&mut v, |x| 1.0 / (1.0 + (-x).exp()));
         let ng = self.nodes[a.0].needs_grad;
         self.push(v, Op::Sigmoid(a.0), ng)
     }
 
     /// Elementwise hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
+        let (r, c) = self.value(a).shape();
         let mut v = self.pool.acquire(r, c);
-        self.nodes[a.0].value.map_into(&mut v, f64::tanh);
+        self.value(a).map_into(&mut v, f64::tanh);
         let ng = self.nodes[a.0].needs_grad;
         self.push(v, Op::Tanh(a.0), ng)
     }
 
     /// Elementwise rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
+        let (r, c) = self.value(a).shape();
         let mut v = self.pool.acquire(r, c);
-        self.nodes[a.0].value.map_into(&mut v, |x| x.max(0.0));
+        self.value(a).map_into(&mut v, |x| x.max(0.0));
         let ng = self.nodes[a.0].needs_grad;
         self.push(v, Op::Relu(a.0), ng)
     }
 
     /// Elementwise absolute value (subgradient 0 at the origin).
     pub fn abs(&mut self, a: Var) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
+        let (r, c) = self.value(a).shape();
         let mut v = self.pool.acquire(r, c);
-        self.nodes[a.0].value.map_into(&mut v, f64::abs);
+        self.value(a).map_into(&mut v, f64::abs);
         let ng = self.nodes[a.0].needs_grad;
         self.push(v, Op::Abs(a.0), ng)
     }
@@ -388,12 +475,10 @@ impl Tape {
     ///
     /// Panics if the row counts differ.
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        let rows = self.nodes[a.0].value.rows();
-        let cols = self.nodes[a.0].value.cols() + self.nodes[b.0].value.cols();
+        let rows = self.value(a).rows();
+        let cols = self.value(a).cols() + self.value(b).cols();
         let mut v = self.pool.acquire(rows, cols);
-        self.nodes[a.0]
-            .value
-            .hcat_into(&self.nodes[b.0].value, &mut v);
+        self.value(a).hcat_into(self.value(b), &mut v);
         let ng = self.binary_needs(a, b);
         self.push(v, Op::ConcatCols(a.0, b.0), ng)
     }
@@ -405,19 +490,19 @@ impl Tape {
     /// Panics if the range is out of bounds.
     pub fn slice_cols(&mut self, x: Var, start: usize, end: usize) -> Var {
         assert!(
-            start <= end && end <= self.nodes[x.0].value.cols(),
+            start <= end && end <= self.value(x).cols(),
             "slice_cols range out of bounds"
         );
-        let rows = self.nodes[x.0].value.rows();
+        let rows = self.value(x).rows();
         let mut v = self.pool.acquire(rows, end - start);
-        self.nodes[x.0].value.slice_cols_into(start, end, &mut v);
+        self.value(x).slice_cols_into(start, end, &mut v);
         let ng = self.nodes[x.0].needs_grad;
         self.push(v, Op::SliceCols { x: x.0, start }, ng)
     }
 
     /// Sum of all elements as a `1 × 1` matrix.
     pub fn sum(&mut self, a: Var) -> Var {
-        let s = self.nodes[a.0].value.sum();
+        let s = self.value(a).sum();
         let mut v = self.pool.acquire(1, 1);
         v.fill(s);
         let ng = self.nodes[a.0].needs_grad;
@@ -430,8 +515,8 @@ impl Tape {
     ///
     /// Panics if `a` is empty.
     pub fn mean(&mut self, a: Var) -> Var {
-        assert!(!self.nodes[a.0].value.is_empty(), "mean of empty matrix");
-        let s = self.nodes[a.0].value.mean();
+        assert!(!self.value(a).is_empty(), "mean of empty matrix");
+        let s = self.value(a).mean();
         let mut v = self.pool.acquire(1, 1);
         v.fill(s);
         let ng = self.nodes[a.0].needs_grad;
@@ -440,9 +525,9 @@ impl Tape {
 
     /// Row-wise softmax.
     pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
+        let (r, c) = self.value(a).shape();
         let mut v = self.pool.acquire(r, c);
-        v.copy_from(&self.nodes[a.0].value);
+        v.copy_from(self.value(a));
         for r in 0..v.rows() {
             let row = v.row_mut(r);
             let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -465,12 +550,12 @@ impl Tape {
     ///
     /// Panics if `s` is not `1 × 1`.
     pub fn scale_var(&mut self, x: Var, s: Var) -> Var {
-        let sv = &self.nodes[s.0].value;
+        let sv = self.value(s);
         assert_eq!(sv.shape(), (1, 1), "scale_var scalar must be 1x1");
         let sv = sv[(0, 0)];
-        let (r, c) = self.nodes[x.0].value.shape();
+        let (r, c) = self.value(x).shape();
         let mut v = self.pool.acquire(r, c);
-        self.nodes[x.0].value.map_into(&mut v, |x| x * sv);
+        self.value(x).map_into(&mut v, |x| x * sv);
         let ng = self.binary_needs(x, s);
         self.push(v, Op::ScaleVar { x: x.0, s: s.0 }, ng)
     }
@@ -499,7 +584,7 @@ impl Tape {
     ///
     /// Panics if `blocks` is zero or does not divide `x`'s row count.
     pub fn to_wide(&mut self, x: Var, blocks: usize) -> Var {
-        let (rows, cols) = self.nodes[x.0].value.shape();
+        let (rows, cols) = self.value(x).shape();
         assert!(
             blocks > 0 && rows % blocks == 0,
             "to_wide: blocks {blocks} does not divide {rows} rows"
@@ -508,7 +593,7 @@ impl Tape {
             return x;
         }
         let mut v = self.pool.acquire(rows / blocks, blocks * cols);
-        self.nodes[x.0].value.wide_from_stacked_into(blocks, &mut v);
+        self.value(x).wide_from_stacked_into(blocks, &mut v);
         let ng = self.nodes[x.0].needs_grad;
         self.push(v, Op::ToWide { x: x.0, blocks }, ng)
     }
@@ -521,7 +606,7 @@ impl Tape {
     ///
     /// Panics if `blocks` is zero or does not divide `x`'s column count.
     pub fn to_stacked(&mut self, x: Var, blocks: usize) -> Var {
-        let (rows, cols) = self.nodes[x.0].value.shape();
+        let (rows, cols) = self.value(x).shape();
         assert!(
             blocks > 0 && cols % blocks == 0,
             "to_stacked: blocks {blocks} does not divide {cols} cols"
@@ -530,7 +615,7 @@ impl Tape {
             return x;
         }
         let mut v = self.pool.acquire(blocks * rows, cols / blocks);
-        self.nodes[x.0].value.stacked_from_wide_into(blocks, &mut v);
+        self.value(x).stacked_from_wide_into(blocks, &mut v);
         let ng = self.nodes[x.0].needs_grad;
         self.push(v, Op::ToStacked { x: x.0, blocks }, ng)
     }
@@ -548,9 +633,9 @@ impl Tape {
     ///
     /// Panics if `s` is not `B × 1` or `B` does not divide `x`'s rows.
     pub fn scale_blocks(&mut self, x: Var, s: Var) -> Var {
-        let (b, sc) = self.nodes[s.0].value.shape();
+        let (b, sc) = self.value(s).shape();
         assert_eq!(sc, 1, "scale_blocks scalars must be Bx1");
-        let (rows, cols) = self.nodes[x.0].value.shape();
+        let (rows, cols) = self.value(x).shape();
         assert!(
             b > 0 && rows % b == 0,
             "scale_blocks: {b} blocks do not divide {rows} rows"
@@ -558,8 +643,8 @@ impl Tape {
         let n = rows / b;
         let mut v = self.pool.acquire(rows, cols);
         {
-            let sv = &self.nodes[s.0].value;
-            let xv = &self.nodes[x.0].value;
+            let sv = self.value(s);
+            let xv = self.value(x);
             for blk in 0..b {
                 let f = sv[(blk, 0)];
                 let span = blk * n * cols..(blk + 1) * n * cols;
@@ -586,11 +671,8 @@ impl Tape {
     ///
     /// Panics if `x` is empty or `blocks` does not divide its row count.
     pub fn mean_blocks(&mut self, x: Var, blocks: usize) -> Var {
-        let (rows, cols) = self.nodes[x.0].value.shape();
-        assert!(
-            !self.nodes[x.0].value.is_empty(),
-            "mean_blocks of empty matrix"
-        );
+        let (rows, cols) = self.value(x).shape();
+        assert!(!self.value(x).is_empty(), "mean_blocks of empty matrix");
         assert!(
             blocks > 0 && rows % blocks == 0,
             "mean_blocks: blocks {blocks} does not divide {rows} rows"
@@ -598,7 +680,7 @@ impl Tape {
         let n = rows / blocks;
         let mut v = self.pool.acquire(blocks, 1);
         for blk in 0..blocks {
-            let span = &self.nodes[x.0].value.as_slice()[blk * n * cols..(blk + 1) * n * cols];
+            let span = &self.value(x).as_slice()[blk * n * cols..(blk + 1) * n * cols];
             let s: f64 = span.iter().sum();
             v[(blk, 0)] = s / (n * cols) as f64;
         }
@@ -608,18 +690,18 @@ impl Tape {
 
     /// Transpose of `x`.
     pub fn transpose(&mut self, x: Var) -> Var {
-        let (r, c) = self.nodes[x.0].value.shape();
+        let (r, c) = self.value(x).shape();
         let mut v = self.pool.acquire(c, r);
-        self.nodes[x.0].value.transpose_into(&mut v);
+        self.value(x).transpose_into(&mut v);
         let ng = self.nodes[x.0].needs_grad;
         self.push(v, Op::Transpose(x.0), ng)
     }
 
     /// Elementwise exponential.
     pub fn exp(&mut self, a: Var) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
+        let (r, c) = self.value(a).shape();
         let mut v = self.pool.acquire(r, c);
-        self.nodes[a.0].value.map_into(&mut v, f64::exp);
+        self.value(a).map_into(&mut v, f64::exp);
         let ng = self.nodes[a.0].needs_grad;
         self.push(v, Op::Exp(a.0), ng)
     }
@@ -631,12 +713,12 @@ impl Tape {
     /// Panics if any element is not strictly positive.
     pub fn ln(&mut self, a: Var) -> Var {
         assert!(
-            self.nodes[a.0].value.as_slice().iter().all(|&x| x > 0.0),
+            self.value(a).as_slice().iter().all(|&x| x > 0.0),
             "ln requires strictly positive inputs"
         );
-        let (r, c) = self.nodes[a.0].value.shape();
+        let (r, c) = self.value(a).shape();
         let mut v = self.pool.acquire(r, c);
-        self.nodes[a.0].value.map_into(&mut v, f64::ln);
+        self.value(a).map_into(&mut v, f64::ln);
         let ng = self.nodes[a.0].needs_grad;
         self.push(v, Op::Ln(a.0), ng)
     }
@@ -648,12 +730,12 @@ impl Tape {
     /// Panics if any element is negative.
     pub fn sqrt(&mut self, a: Var) -> Var {
         assert!(
-            self.nodes[a.0].value.as_slice().iter().all(|&x| x >= 0.0),
+            self.value(a).as_slice().iter().all(|&x| x >= 0.0),
             "sqrt requires non-negative inputs"
         );
-        let (r, c) = self.nodes[a.0].value.shape();
+        let (r, c) = self.value(a).shape();
         let mut v = self.pool.acquire(r, c);
-        self.nodes[a.0].value.map_into(&mut v, f64::sqrt);
+        self.value(a).map_into(&mut v, f64::sqrt);
         let ng = self.nodes[a.0].needs_grad;
         self.push(v, Op::Sqrt(a.0), ng)
     }
@@ -665,14 +747,13 @@ impl Tape {
     /// Panics if shapes differ or any divisor is zero.
     pub fn div(&mut self, a: Var, b: Var) -> Var {
         assert!(
-            self.nodes[b.0].value.as_slice().iter().all(|&x| x != 0.0),
+            self.value(b).as_slice().iter().all(|&x| x != 0.0),
             "division by zero"
         );
-        let (r, c) = self.nodes[a.0].value.shape();
+        let (r, c) = self.value(a).shape();
         let mut v = self.pool.acquire(r, c);
-        self.nodes[a.0]
-            .value
-            .zip_map_into(&self.nodes[b.0].value, &mut v, |x, y| x / y);
+        self.value(a)
+            .zip_map_into(self.value(b), &mut v, |x, y| x / y);
         let ng = self.binary_needs(a, b);
         self.push(v, Op::Div(a.0, b.0), ng)
     }
@@ -707,7 +788,7 @@ impl Tape {
     /// forward value and treated as a constant, exactly like `masked_mae`;
     /// gradients do not flow into `mask` through the count.
     pub fn masked_mae_var(&mut self, a: Var, b: Var, mask: Var) -> Var {
-        let count = self.nodes[mask.0].value.sum().max(1.0);
+        let count = self.value(mask).sum().max(1.0);
         let d = self.sub(a, b);
         let d = self.abs(d);
         let d = self.mul(d, mask);
@@ -717,15 +798,21 @@ impl Tape {
 
     /// Runs the reverse sweep from `loss`, which must be a `1 × 1` node.
     ///
-    /// Gradients accumulate into every node with `needs_grad`; read them back
-    /// with [`Tape::grad_ref`]. Calling `backward` twice accumulates twice.
+    /// Gradients accumulate into every leaf with `needs_grad`; read them
+    /// back with [`Tape::grad_ref`]. Calling `backward` twice accumulates
+    /// twice. Intermediate gradients live only inside the sweep: each
+    /// returns to the pool once passed on to its node's parents.
     ///
     /// # Panics
     ///
-    /// Panics if `loss` is not `1 × 1`.
+    /// Panics if `loss` is not `1 × 1`, or if any node's value was released
+    /// by [`Tape::release_since`].
     pub fn backward(&mut self, loss: Var) {
+        if let Some(i) = self.nodes.iter().position(|n| n.released) {
+            panic!("backward needs every value, but tape node {i} was released");
+        }
         assert_eq!(
-            self.nodes[loss.0].value.shape(),
+            self.value(loss).shape(),
             (1, 1),
             "backward requires a scalar (1x1) loss node"
         );
@@ -748,12 +835,19 @@ impl Tape {
         if self.sweep.len() < root.0 + 1 {
             self.sweep.resize_with(root.0 + 1, || None);
         }
-        let Tape { nodes, pool, sweep } = self;
+        let Tape {
+            nodes,
+            pool,
+            sweep,
+            shared,
+            ..
+        } = self;
         acc_owned(nodes, sweep, pool, root.0, seed);
 
         // Children always have higher indices than their parents, so by the
         // time the sweep visits node `i` its scratch gradient is final: take
-        // it, distribute to parents, then merge it into the persistent slot.
+        // it, distribute to parents, then merge it into the leaf's persistent
+        // slot or, for any other node, hand the buffer back to the pool.
         for i in (0..=root.0).rev() {
             let Some(g) = sweep[i].take() else { continue };
             match nodes[i].op {
@@ -786,6 +880,14 @@ impl Tape {
                         let mut gb = pool.acquire(nodes[a].value.cols(), g.cols());
                         nodes[a].value.matmul_tn_into(&g, &mut gb);
                         acc_owned(nodes, sweep, pool, b, gb);
+                    }
+                }
+                Op::MatmulShared { a, x } => {
+                    if nodes[x].needs_grad {
+                        let c = &shared[a];
+                        let mut gx = pool.acquire(c.cols(), g.cols());
+                        c.matmul_tn_into(&g, &mut gx);
+                        acc_owned(nodes, sweep, pool, x, gx);
                     }
                 }
                 Op::Scale(a, s) => {
@@ -1002,7 +1104,10 @@ impl Tape {
                     }
                 }
             }
-            // Merge this node's sweep gradient into the persistent slot.
+            if !matches!(nodes[i].op, Op::Leaf) {
+                pool.release(g);
+                continue;
+            }
             match &mut nodes[i].grad {
                 Some(existing) => {
                     existing.axpy(1.0, &g);

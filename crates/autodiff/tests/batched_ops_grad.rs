@@ -7,9 +7,13 @@
 //! differences at `B = 1`, where the permutations are the identity, and at
 //! `B = 3`. The readout weights every output element differently, so a
 //! gradient routed to the wrong block or position changes the loss.
+//!
+//! The graph propagation between the permutations, `matmul_shared` of a
+//! borrowed Chebyshev basis with the wide batch, is checked here too.
 
 use st_autodiff::{check_gradient, Tape, Var};
 use st_tensor::Matrix;
+use std::sync::Arc;
 
 const NODES: usize = 4;
 const FEATURES: usize = 2;
@@ -93,6 +97,17 @@ fn mean_blocks_gradients() {
         let x = pattern(b * NODES, FEATURES, 0.6);
         check_op(&format!("mean_blocks B={b}"), &x, |tape, p| {
             tape.mean_blocks(p, b)
+        });
+    }
+}
+
+#[test]
+fn matmul_shared_gradients() {
+    let basis = Arc::new(pattern(NODES, NODES, 0.7));
+    for b in [1, 3] {
+        let x = pattern(NODES, b * FEATURES, 0.8);
+        check_op(&format!("matmul_shared B={b}"), &x, |tape, p| {
+            tape.matmul_shared(&basis, p)
         });
     }
 }

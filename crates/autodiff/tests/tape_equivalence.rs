@@ -4,9 +4,15 @@
 //! fresh `Tape::new()` — including across two consecutive recycled passes,
 //! which would expose any stale-buffer reuse (a pooled buffer whose old
 //! contents leak into a new node).
+//!
+//! It also pins the tape's memory contract: only leaves keep a gradient
+//! after `backward` (intermediate gradients go back to the pool once
+//! propagated, without moving a leaf gradient bit), and a value returned
+//! by `release_since` can no longer be read.
 
 use st_autodiff::{Tape, Var};
 use st_tensor::{rng, uniform_matrix, Matrix};
+use std::sync::Arc;
 
 /// A graph builder: records parameters and returns (params, scalar loss).
 type Builder = fn(&mut Tape) -> (Vec<Var>, Var);
@@ -241,6 +247,14 @@ fn cases() -> Vec<(&'static str, Builder)> {
             let loss = t.masked_mae_var(a, b, m);
             (vec![a, b], loss)
         }),
+        ("matmul_shared", |t| {
+            let a = Arc::new(mat(60, 5, 4));
+            let x = t.parameter(mat(61, 4, 3));
+            let y = t.matmul_shared(&a, x);
+            let y = t.tanh(y);
+            let loss = t.sum(y);
+            (vec![x], loss)
+        }),
         ("deep_composite", |t| {
             // A mixed graph chaining most ops, closer to a model step.
             let w1 = t.parameter(mat(42, 4, 6));
@@ -312,4 +326,148 @@ fn recycled_tape_reuses_buffers() {
         "steady-state pass must not miss the pool"
     );
     assert!(stats.hits > 0, "steady-state pass must hit the pool");
+}
+
+#[test]
+fn matmul_shared_matches_matmul_with_a_copied_constant() {
+    let shared = Arc::new(mat(70, 5, 4));
+    let copied = |t: &mut Tape| {
+        let x = t.parameter(mat(71, 4, 3));
+        let a = t.constant_ref(&mat(70, 5, 4));
+        let y = t.matmul(a, x);
+        (x, y)
+    };
+    let borrowed = |t: &mut Tape| {
+        let x = t.parameter(mat(71, 4, 3));
+        let y = t.matmul_shared(&shared, x);
+        (x, y)
+    };
+    let mut snapshots = Vec::new();
+    for build in [&copied as &dyn Fn(&mut Tape) -> (Var, Var), &borrowed] {
+        let mut tape = Tape::new();
+        let (x, y) = build(&mut tape);
+        let y = tape.sigmoid(y);
+        let loss = tape.mean(y);
+        tape.backward(loss);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        snapshots.push((
+            bits(tape.value(y)),
+            bits(tape.grad_ref(x).expect("leaf grad")),
+        ));
+    }
+    assert_eq!(snapshots[0], snapshots[1]);
+}
+
+/// `loss = sum(a ⊙ a + a)` with `a = tanh(p · w)`: `a` feeds three
+/// gradient terms, so its sweep gradient is an accumulated buffer that
+/// goes back to the pool while the sweep still runs.
+#[test]
+fn only_leaves_keep_gradients_and_they_match_a_hand_accumulation() {
+    let (p0, w0) = (mat(80, 3, 4), mat(81, 4, 2));
+
+    // The sweep the tape runs, written out with the same kernels in the
+    // same order, every gradient kept.
+    let mut h = Matrix::zeros(3, 2);
+    p0.matmul_into(&w0, &mut h);
+    let a = h.map(f64::tanh);
+    let g_s = Matrix::filled(3, 2, 1.0);
+    let g_b = g_s.clone();
+    let mut g_a = g_s.clone();
+    for _ in 0..2 {
+        let mut part = Matrix::zeros(3, 2);
+        g_b.hadamard_into(&a, &mut part);
+        g_a.axpy(1.0, &part);
+    }
+    let mut g_h = Matrix::zeros(3, 2);
+    g_a.zip_map_into(&a, &mut g_h, |gi, yi| gi * (1.0 - yi * yi));
+    let mut g_p = Matrix::zeros(3, 4);
+    g_h.matmul_nt_into(&w0, &mut g_p);
+    let mut g_w = Matrix::zeros(4, 2);
+    p0.matmul_tn_into(&g_h, &mut g_w);
+
+    let mut tape = Tape::new();
+    for recycled in [false, true] {
+        if recycled {
+            dirty(&mut tape);
+            tape.reset();
+        }
+        let p = tape.parameter(p0.clone());
+        let w = tape.parameter(w0.clone());
+        let h = tape.matmul(p, w);
+        let a = tape.tanh(h);
+        let b = tape.mul(a, a);
+        let s = tape.add(b, a);
+        let loss = tape.sum(s);
+        tape.backward(loss);
+        for (name, v) in [("h", h), ("a", a), ("b", b), ("s", s), ("loss", loss)] {
+            assert!(
+                tape.grad_ref(v).is_none(),
+                "intermediate {name} kept its gradient"
+            );
+        }
+        for (name, v, want) in [("p", p, &g_p), ("w", w, &g_w)] {
+            let got = tape.grad_ref(v).expect("leaf keeps its gradient");
+            assert!(
+                got.as_slice()
+                    .iter()
+                    .zip(want.as_slice())
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{name} (recycled: {recycled}): leaf gradient moved"
+            );
+        }
+        tape.reset();
+    }
+}
+
+/// Records `p`, a constant, `x · p`, `tanh` and a parameter bound after
+/// the release mark, then releases everything from the constant on except
+/// the `tanh` node.
+fn released_tape() -> (Tape, [Var; 5]) {
+    let mut tape = Tape::new();
+    let p = tape.parameter(mat(90, 3, 3));
+    let x = tape.constant(mat(91, 2, 3));
+    let y = tape.matmul(x, p);
+    let z = tape.tanh(y);
+    let q = tape.parameter(mat(92, 2, 3));
+    tape.release_since(x.index(), &[z]);
+    (tape, [p, x, y, z, q])
+}
+
+#[test]
+fn release_since_recycles_all_but_kept_nodes_and_parameters() {
+    let (mut tape, [p, _, _, z, q]) = released_tape();
+    assert_eq!(tape.value(p), &mat(90, 3, 3));
+    assert_eq!(tape.value(q), &mat(92, 2, 3));
+    let mut want_z = Matrix::zeros(2, 3);
+    mat(91, 2, 3).matmul_into(&mat(90, 3, 3), &mut want_z);
+    assert_eq!(tape.value(z), &want_z.map(f64::tanh));
+    // The two released 2×3 values serve the next two 2×3 acquires.
+    assert_eq!(tape.pool_free_bytes(), 2 * 6 * 8);
+    let misses = tape.pool_stats().misses;
+    let a = tape.add(z, q);
+    let _ = tape.mul(a, q);
+    assert_eq!(tape.pool_stats().misses, misses);
+    assert_eq!(tape.pool_free_bytes(), 0);
+}
+
+#[test]
+#[should_panic(expected = "tape node 2 was released")]
+fn reading_a_released_value_panics_with_the_node_index() {
+    let (tape, [_, _, y, _, _]) = released_tape();
+    let _ = tape.value(y);
+}
+
+#[test]
+#[should_panic(expected = "tape node 1 was released")]
+fn a_released_operand_panics_with_the_node_index() {
+    let (mut tape, [_, x, _, _, q]) = released_tape();
+    let _ = tape.add(x, q);
+}
+
+#[test]
+#[should_panic(expected = "backward needs every value, but tape node 1 was released")]
+fn backward_after_a_release_panics() {
+    let (mut tape, [_, _, _, z, _]) = released_tape();
+    let loss = tape.sum(z);
+    tape.backward(loss);
 }

@@ -14,17 +14,32 @@ use st_tensor::Matrix;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Step 3 of a recycled-session training loop must allocate under 5% of
-/// what step 1 (empty pool — the historical tape-per-step baseline) does,
-/// at 1 and at 4 configured worker threads. The model is small enough that
-/// every kernel stays below `st_par`'s parallel threshold, so worker
-/// threads add no allocator traffic of their own.
+/// Heap allocations allowed in the third training step of a
+/// recycled-session loop (measured: 12).
+const MAX_STEP_ALLOCS: u64 = 24;
+/// Heap allocations allowed in the third `predict` on one model (measured:
+/// 14).
+const MAX_PREDICT_ALLOCS: u64 = 24;
+/// Heap allocations allowed in the third `loss` on one model (measured:
+/// 11).
+const MAX_LOSS_ALLOCS: u64 = 24;
+
+/// Step 3 of a recycled-session training loop must stay under an absolute
+/// allocation count, at 1 and at 4 configured worker threads. The model is
+/// small enough that every kernel stays below `st_par`'s parallel
+/// threshold, so worker threads add no allocator traffic of their own.
+///
+/// The limits are absolute, not a share of step 1: buffers now recycle
+/// inside a run too (the sweep frees intermediate gradients, inference
+/// frees each recurrent step's scratch), so a cold run no longer misses
+/// the pool on every buffer and its count is no baseline. What remains at
+/// steady state is the bookkeeping outside the tape (the per-run `Vec`s of
+/// vars, the returned predictions).
 ///
 /// Evaluation runs on the same recycled session: the third `predict` and
-/// the third `loss` on one model must each allocate under 5% of the first
-/// call on a fresh model, whose session slot is still empty.
+/// the third `loss` on one model must each stay under their own limit.
 #[test]
-fn steady_state_step_allocates_under_five_percent_of_step_one() {
+fn steady_state_runs_stay_under_absolute_allocation_limits() {
     for threads in [1usize, 4] {
         st_par::set_num_threads(threads);
 
@@ -63,18 +78,11 @@ fn steady_state_step_allocates_under_five_percent_of_step_one() {
         }
 
         assert!(
-            allocs[0] > 100,
-            "step 1 should miss the empty pool on every buffer, got {} allocs",
-            allocs[0]
-        );
-        let limit = allocs[0] / 20;
-        assert!(
-            allocs[2] < limit,
-            "with {threads} threads, step 3 made {} heap allocations — \
-             not under 5% of step 1's {} (limit {})",
+            allocs[2] <= MAX_STEP_ALLOCS,
+            "with {threads} threads, step 3 made {} heap allocations \
+             (step 1: {}), over the limit of {MAX_STEP_ALLOCS}",
             allocs[2],
             allocs[0],
-            limit
         );
 
         // The pool accessor must corroborate the allocator-level numbers:
@@ -94,13 +102,19 @@ fn steady_state_step_allocates_under_five_percent_of_step_one() {
         );
 
         type Eval = fn(&RihgcnModel, &WindowSample);
-        let evals: [(&str, Eval); 2] = [
-            ("predict", |m, s| {
-                assert!(m.predict(s).iter().all(Matrix::is_finite));
-            }),
-            ("loss", |m, s| assert!(m.loss(s).is_finite())),
+        let evals: [(&str, Eval, u64); 2] = [
+            (
+                "predict",
+                |m, s| assert!(m.predict(s).iter().all(Matrix::is_finite)),
+                MAX_PREDICT_ALLOCS,
+            ),
+            (
+                "loss",
+                |m, s| assert!(m.loss(s).is_finite()),
+                MAX_LOSS_ALLOCS,
+            ),
         ];
-        for (name, eval) in evals {
+        for (name, eval, limit) in evals {
             let fresh = RihgcnModel::from_dataset(&ds, cfg.clone());
             let allocs: Vec<u64> = (0..3)
                 .map(|_| {
@@ -110,18 +124,11 @@ fn steady_state_step_allocates_under_five_percent_of_step_one() {
                 })
                 .collect();
             assert!(
-                allocs[0] > 100,
-                "the first {name} should miss the empty pool on every buffer, got {} allocs",
-                allocs[0]
-            );
-            let limit = allocs[0] / 20;
-            assert!(
-                allocs[2] < limit,
-                "with {threads} threads, the third {name} made {} heap allocations — \
-                 not under 5% of the first's {} (limit {})",
+                allocs[2] <= limit,
+                "with {threads} threads, the third {name} made {} heap allocations \
+                 (first: {}), over the limit of {limit}",
                 allocs[2],
                 allocs[0],
-                limit
             );
         }
     }

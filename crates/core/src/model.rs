@@ -700,6 +700,12 @@ impl RihgcnModel {
     /// Runs one direction of the recurrent imputation over the view's
     /// `B·N` stacked rows. The LSTM, estimation head and complement
     /// arithmetic are all row-local; the HGCN mixes nodes per window.
+    ///
+    /// A run without targets never calls `backward`, so each step returns
+    /// its scratch to the tape's pool when it ends, keeping only what later
+    /// steps and the prediction head read (the estimate, the LSTM state and
+    /// `z_t`). The next step reuses those buffers, so an inference tape
+    /// holds about one step's values instead of all `T`.
     fn impute_direction(
         &self,
         sess: &mut Session,
@@ -719,8 +725,10 @@ impl RihgcnModel {
         let mut estimates: Vec<Option<Var>> = vec![None; t_len];
         let mut est_prev = sess.constant_zeros(rows, self.num_features);
         let mut state = cells.lstm.zero_state(sess, rows);
+        let release = view.targets.is_none();
 
         for &t in &order {
+            let step_start = sess.tape.len();
             estimates[t] = Some(est_prev);
             // Complement input: X̄_t = M⊙X + (1−M)⊙X̂ (Eq. 3). `inputs[t]`
             // is already M⊙X. The inverse mask is built on the tape (−M then
@@ -741,6 +749,10 @@ impl RihgcnModel {
             let z_t = sess.tape.concat_cols(s, state.h);
             z[t] = Some(z_t);
             est_prev = cells.est_head.forward(sess, &self.store, z_t);
+            if release {
+                sess.tape
+                    .release_since(step_start, &[est_prev, state.h, state.c, z_t]);
+            }
         }
 
         DirectionRun {

@@ -10,6 +10,7 @@
 use crate::{ParamId, ParamStore, Session};
 use st_autodiff::Var;
 use st_tensor::{xavier_matrix, Matrix, StRng};
+use std::sync::Arc;
 
 /// Activation applied by [`ChebGcn::forward`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,7 +32,10 @@ pub enum Activation {
 /// per-temporal-graph fan-out parallelises across `st-par` workers) and
 /// [`ChebGcn::forward_with_basis`] then needs one constant matmul per
 /// order. Since the basis matrices carry no gradient, the tape also skips
-/// their backward work.
+/// their backward work. Each matrix sits behind an [`Arc`], so the tape
+/// borrows it ([`st_autodiff::Tape::matmul_shared`]) instead of copying
+/// `N²` values per order at every recurrent step, and clones of a block
+/// share one set of bases.
 ///
 /// # Examples
 ///
@@ -41,11 +45,11 @@ pub enum Activation {
 ///
 /// let basis = ChebBasis::new(&Matrix::identity(3), 3);
 /// assert_eq!(basis.order(), 3);
-/// assert_eq!(basis.matrices()[0], Matrix::identity(3));
+/// assert_eq!(*basis.matrices()[0], Matrix::identity(3));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChebBasis {
-    matrices: Vec<Matrix>,
+    matrices: Vec<Arc<Matrix>>,
 }
 
 impl ChebBasis {
@@ -69,7 +73,9 @@ impl ChebBasis {
             let two_lt = scaled.matmul(&matrices[i - 1]).scale(2.0);
             matrices.push(&two_lt - &matrices[i - 2]);
         }
-        Self { matrices }
+        Self {
+            matrices: matrices.into_iter().map(Arc::new).collect(),
+        }
     }
 
     /// Number of polynomials `K`.
@@ -83,7 +89,7 @@ impl ChebBasis {
     }
 
     /// The polynomial matrices `[T_0(L̃), …, T_{K−1}(L̃)]`.
-    pub fn matrices(&self) -> &[Matrix] {
+    pub fn matrices(&self) -> &[Arc<Matrix>] {
         &self.matrices
     }
 }
@@ -222,7 +228,8 @@ impl ChebGcn {
     /// Like [`ChebGcn::forward`] but with the polynomials `T_k(L̃)`
     /// precomputed in a [`ChebBasis`], over a batch of `blocks` windows.
     ///
-    /// Each term is a single constant matmul `T_k(L̃) · x` instead of a
+    /// Each term is a single borrowed-constant matmul `T_k(L̃) · x`
+    /// ([`st_autodiff::Tape::matmul_shared`]) instead of a
     /// tape-level recurrence (`T_0 = I` skips the matmul entirely), which
     /// re-associates the recurrence: results agree with
     /// [`ChebGcn::forward`] to round-off (exactly for `K ≤ 2`).
@@ -275,8 +282,7 @@ impl ChebGcn {
             let term = if order == 0 {
                 x_stacked
             } else {
-                let t = sess.constant_ref(&basis.matrices()[order]);
-                let propagated = sess.tape.matmul(t, x_wide);
+                let propagated = sess.tape.matmul_shared(&basis.matrices()[order], x_wide);
                 sess.tape.to_stacked(propagated, blocks)
             };
             let w = sess.var(store, wid);

@@ -662,6 +662,7 @@ mod tests {
                 hits: 90,
                 misses: 10,
                 released: 100,
+                ..Default::default()
             },
             4096,
         );

@@ -27,6 +27,10 @@ pub struct PoolStats {
     pub misses: u64,
     /// Buffers returned to the pool.
     pub released: u64,
+    /// Bytes of the fresh allocations made on misses. The pool hands no
+    /// buffer back to the allocator (until [`MatrixPool::clear`]), so this
+    /// is the high-water footprint of everything acquired through it.
+    pub allocated_bytes: u64,
 }
 
 impl PoolStats {
@@ -76,8 +80,14 @@ impl MatrixPool {
                 self.stats.hits += 1;
                 Matrix::from_vec(rows, cols, buf)
             }
+            // An empty matrix needs no store: nothing is allocated.
+            None if len == 0 => {
+                self.stats.hits += 1;
+                Matrix::zeros(rows, cols)
+            }
             None => {
                 self.stats.misses += 1;
+                self.stats.allocated_bytes += (len * std::mem::size_of::<f64>()) as u64;
                 Matrix::zeros(rows, cols)
             }
         }
@@ -90,8 +100,14 @@ impl MatrixPool {
         m
     }
 
-    /// Returns a matrix's backing store to the pool for reuse.
+    /// Returns a matrix's backing store to the pool for reuse. An empty
+    /// matrix owns no store and is dropped instead: bucketing its `Vec`
+    /// header would grow the free list by one entry per release, none of
+    /// which an acquire ever needs.
     pub fn release(&mut self, m: Matrix) {
+        if m.is_empty() {
+            return;
+        }
         self.stats.released += 1;
         self.free.entry(m.len()).or_default().push(m.into_vec());
     }
@@ -148,7 +164,8 @@ mod tests {
             PoolStats {
                 hits: 1,
                 misses: 1,
-                released: 1
+                released: 1,
+                allocated_bytes: 4 * 8,
             }
         );
         assert_eq!(b.shape(), (2, 2));
@@ -188,11 +205,28 @@ mod tests {
     }
 
     #[test]
-    fn empty_matrices_round_trip() {
+    fn empty_matrices_are_never_bucketed() {
         let mut pool = MatrixPool::new();
+        pool.release(Matrix::zeros(0, 0));
         pool.release(Matrix::zeros(0, 3));
+        assert_eq!(pool.free_buffers(), 0);
+        assert_eq!(pool.stats().released, 0);
         let m = pool.acquire(5, 0);
         assert_eq!(m.shape(), (5, 0));
         assert_eq!(pool.stats().hits, 1);
+        assert_eq!(pool.stats().allocated_bytes, 0);
+    }
+
+    #[test]
+    fn allocated_bytes_count_misses_only() {
+        let mut pool = MatrixPool::new();
+        let a = pool.acquire(2, 3);
+        let b = pool.acquire(4, 1);
+        assert_eq!(pool.stats().allocated_bytes, (6 + 4) * 8);
+        pool.release(a);
+        pool.release(b);
+        let _ = pool.acquire(3, 2);
+        let _ = pool.acquire_zeroed(1, 4);
+        assert_eq!(pool.stats().allocated_bytes, (6 + 4) * 8);
     }
 }

@@ -63,9 +63,16 @@ RIHGCN_BENCH_SAMPLES=1 RIHGCN_BENCH_SAMPLE_MS=20 \
 
 echo "== allocation bench (training-step memory profile) =="
 # Writes BENCH_step.json; the binary itself fails the build on non-finite
-# or missing metrics, or a steady-state allocation reduction below 90%.
+# or missing metrics, a steady-state step or predict over its absolute
+# allocation limit, or a predict tape footprint not below a training
+# step's.
 scripts/bench_step.sh --smoke
 test -s BENCH_step.json || { echo "BENCH_step.json missing"; exit 1; }
+for key in tape_bytes_step tape_bytes_predict; do
+    grep -q "\"$key\"" BENCH_step.json || {
+        echo "BENCH_step.json missing $key"; exit 1;
+    }
+done
 
 echo "== observability overhead bench (tracing off < 2%, on = bit-identical) =="
 # bench_obs reruns the bench_step workload twice per thread count: with
